@@ -22,7 +22,7 @@ from .errors import NonAxisAlignedRotationError, SingularSystemError
 from .formulations import ElementFormulation, PatchOperators
 from .quadrature import QuadratureRule, gauss_rule  # noqa: F401  (re-exported)
 from .rod import ControlDisplacements, CrossSection, frame_at
-from .splines import NurbsCurve, arc_lengths_at, element_arc_lengths
+from .splines import NurbsCurve, arc_lengths_at
 
 __all__ = [
     "QuadratureRule",
@@ -51,12 +51,15 @@ class LoadSpec:
     """Point loads at the rod ends plus an optional distributed load.
 
     point_loads: list of ("start" | "end", force 2-vector).
-    distributed: callable s -> force density 2-vector per arc length, defined
-        on [0, L]; None when absent.
+    distributed: callable s -> force density per arc length, defined on
+        [0, L]; None when absent. `assemble` calls it once, with the arc
+        lengths of all quadrature points as an array of shape (m,), and
+        broadcasts the result to (m, 2): return one 2-vector per point, or a
+        single 2-vector for a constant load.
     """
 
     point_loads: list[tuple[str, np.ndarray]] = field(default_factory=list)
-    distributed: Callable[[float], np.ndarray] | None = None
+    distributed: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,6 @@ class GlobalSystem:
 
     k: np.ndarray
     f: np.ndarray
-    constraints: list
     banded: bool  # element-local formulations keep a narrow band
 
 
@@ -123,7 +125,11 @@ def assemble(curve: NurbsCurve, section: CrossSection,
              formulation: ElementFormulation, loads: LoadSpec,
              quad_points: int | None = None,
              ops: PatchOperators | None = None) -> GlobalSystem:
-    """Assemble the global stiffness matrix and consistent load vector."""
+    """Assemble the global stiffness matrix and consistent load vector.
+
+    The distributed load is called once, on the arc lengths of all
+    quadrature points (see `LoadSpec`).
+    """
     if ops is None:
         ops = PatchOperators(curve, section, formulation, quad_points)
     n_dof = 2 * curve.n_basis
@@ -144,20 +150,19 @@ def assemble(curve: NurbsCurve, section: CrossSection,
         f[2 * b:2 * b + 2] += np.asarray(force, dtype=float)
 
     if loads.distributed is not None:
-        boundary_s = element_arc_lengths(curve)
         n_el, nq = ops.xi_q.shape
-        s_q = arc_lengths_at(curve, ops.xi_q.reshape(-1), boundary_s).reshape(n_el, nq)
-        for e in range(n_el):
-            sl = slice(2 * e, 2 * e + 2 * (curve.degree + 1))
-            fe = np.zeros(2 * (curve.degree + 1))
-            for q in range(nq):
-                load = np.asarray(loads.distributed(float(s_q[e, q])), dtype=float)
-                fe[0::2] += ops.wds[e, q] * ops.values[e, q] * load[0]
-                fe[1::2] += ops.wds[e, q] * ops.values[e, q] * load[1]
-            f[sl] += fe
+        s_q = arc_lengths_at(curve, ops.xi_q.reshape(-1))
+        load = np.broadcast_to(np.asarray(loads.distributed(s_q), dtype=float),
+                               (len(s_q), 2)).reshape(n_el, nq, 2)
+        fe = np.zeros((n_el, curve.degree + 1, 2))
+        for q in range(nq):  # ascending q, as in the element integral
+            fe += (ops.wds[:, q, None] * ops.values[:, q])[:, :, None] * load[:, q, None, :]
+        f_ctrl = f.reshape(-1, 2)
+        for j in reversed(range(curve.degree + 1)):  # ascending element order per control
+            f_ctrl[j:j + n_el] += fe[:, j]
 
     banded = formulation is not ElementFormulation.GLOBAL_BBAR
-    return GlobalSystem(k=k, f=f, constraints=[], banded=banded)
+    return GlobalSystem(k=k, f=f, banded=banded)
 
 
 def _rotation_component(curve: NurbsCurve, end: str) -> int:
@@ -234,7 +239,6 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
     free = np.flatnonzero(~removed)
     k_red = k[np.ix_(free, free)]
     f_red = f[free]
-    system.constraints = list(constraints)
     return ConstrainedSystem(k=k_red, f=f_red, free_dofs=free,
                              slave_pairs=slave_pairs, n_full=n, banded=system.banded)
 

@@ -17,6 +17,12 @@ including signs) to be reproduced by the discretization:
   solution exists; free-end reference displacements come from a fine-mesh
   (Richardson-checked) CAS solve and the clamped-end resultants from static
   equilibrium: |N| = P and |M| = P*a.
+
+Every mesh is built in one closed-form step from the single rational
+quadratic Bezier segment of its conic (see `_refine_to`), so the geometry
+stays the exact circle or ellipse. The problem callables (`angle_map`, the
+`exact_*` fields and the arch's distributed load) take and return arrays;
+see `BenchmarkProblem`.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .assembly import (
 from .errors import MissingExactFieldError, OutOfDomainError
 from .formulations import ElementFormulation, PatchOperators
 from .rod import CrossSection
-from .splines import KnotVector, NurbsCurve, evaluate_geometry, insert_knot
+from .splines import KnotVector, NurbsCurve, evaluate_geometry
 
 __all__ = [
     "BenchmarkProblem",
@@ -94,19 +100,25 @@ def standard_slenderness_cases(problem: str) -> tuple[SlendernessCase, ...]:
 
 @dataclass
 class BenchmarkProblem:
-    """One benchmark: geometry, section, loads, constraints, exact solution."""
+    """One benchmark: geometry, section, loads, constraints, exact solution.
+
+    `angle_map` and the `exact_*` fields follow numpy broadcasting: a float
+    in gives a scalar out, an array of shape S gives an array of shape S
+    (shape S + (2,) for the displacement vector of `exact_u`). The metrics
+    call each of them once per evaluation, with all points in one array.
+    """
 
     name: str
     curve: NurbsCurve
     section: CrossSection
     loads: LoadSpec
     constraints: list
-    angle_map: Callable[[float], float]          # xi -> phi
+    angle_map: Callable[[np.ndarray], np.ndarray]  # xi -> phi
     angle_domain: tuple[float, float]
-    slenderness: float                            # reporting value (EA or t)
-    exact_u: Callable[[float], np.ndarray] | None = None   # phi -> (ux, uy)
-    exact_n: Callable[[float], float] | None = None
-    exact_m: Callable[[float], float] | None = None
+    slenderness: float                              # reporting value (EA or t)
+    exact_u: Callable[[np.ndarray], np.ndarray] | None = None  # phi -> (ux, uy)
+    exact_n: Callable[[np.ndarray], np.ndarray] | None = None
+    exact_m: Callable[[np.ndarray], np.ndarray] | None = None
     point_checks: list[PointCheck] = field(default_factory=list)
 
     @property
@@ -115,17 +127,24 @@ class BenchmarkProblem:
 
 
 def _refine_to(base: NurbsCurve, n_elements: int) -> NurbsCurve:
-    """Split the single-element conic into n equal parametric spans.
+    """Split the single-element quadratic conic into n equal parametric spans.
 
-    Knot insertion leaves the geometry exact, so the refined curve still
-    represents the conic to machine precision.
+    The refined control points are the polar form (blossom) of the base
+    Bezier segment at consecutive knot pairs, in homogeneous coordinates:
+    P_i = f(t_{i+1}, t_{i+2}) with
+    f(u, v) = (1-u)(1-v) B0 + ((1-u)v + u(1-v)) B1 + uv B2.
+    This is what inserting every interior knot would give, in one step, so
+    the refined curve still represents the conic to machine precision.
     """
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")
-    curve = base
-    for j in range(1, n_elements):
-        curve = insert_knot(curve, j / n_elements)
-    return curve
+    assert base.degree == 2 and base.n_elements == 1
+    knots = np.concatenate([[0.0, 0.0, 0.0], np.arange(1, n_elements) / n_elements,
+                            [1.0, 1.0, 1.0]])
+    u, v = knots[1:-2, None], knots[2:-1, None]
+    b = np.column_stack([base.weights[:, None] * base.control_points, base.weights])
+    pw = (1 - u) * (1 - v) * b[0] + ((1 - u) * v + u * (1 - v)) * b[1] + u * v * b[2]
+    return NurbsCurve(KnotVector(2, knots), pw[:, :2] / pw[:, 2:], pw[:, 2])
 
 
 def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
@@ -154,15 +173,15 @@ def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
     u_xa = -scale * ((math.pi**2 - 8) / (8 * math.pi) + (math.pi / 8) * t_over_r_sq)
     u_yb = -scale * ((4 - math.pi) / (4 * math.pi) - 0.25 * t_over_r_sq)
 
-    def angle_map(xi: float) -> float:
+    def angle_map(xi):
         pt = evaluate_geometry(curve, xi)[0]
-        return math.atan2(pt[0], -pt[1])
+        return np.arctan2(pt[..., 0], -pt[..., 1])
 
-    def exact_n(phi: float) -> float:
-        return -(p_load / 2) * math.cos(phi)
+    def exact_n(phi):
+        return -(p_load / 2) * np.cos(phi)
 
-    def exact_m(phi: float) -> float:
-        return (p_load * radius / 2) * (2 / math.pi - math.cos(phi))
+    def exact_m(phi):
+        return (p_load * radius / 2) * (2 / math.pi - np.cos(phi))
 
     return BenchmarkProblem(
         name="ring",
@@ -198,28 +217,28 @@ def _arch_exact(t: float):
           / (6 * math.pi**3 * (c1 / radius) - 24 * math.pi * c3))
     a3 = -2 * q * radius * (c1 - c2) / 3 - 3 * q * radius**2 * c3 / 4
 
-    def u_tangential(phi: float) -> float:
+    def u_tangential(phi):
         return (a1 * (c1 * phi * np.sin(phi) - c3 * radius * (1 - np.cos(phi)))
                 - a2 * c3 * (phi - np.sin(phi)) + a3 * np.sin(phi)
                 - q * radius * (np.sin(2 * phi) * (2 / 3 * c1 - c2 / 6 - c3 * radius / 8)
                                 - phi * c3 * radius / 2))
 
-    def u_normal(phi: float) -> float:
+    def u_normal(phi):
         return (a1 * (c1 * (phi * np.cos(phi) - np.sin(phi))
                       + c2 * np.sin(phi) - c3 * radius * np.sin(phi))
                 - a2 * c3 * (1 - np.cos(phi)) + a3 * np.cos(phi)
                 + q * radius * (c1 - c2 / 2 + c3 * radius / 2
                                 - np.cos(2 * phi) * (c1 / 3 + c2 / 6 - c3 * radius / 4)))
 
-    def exact_u(phi: float) -> np.ndarray:
+    def exact_u(phi):
         ut, un = u_tangential(phi), u_normal(phi)
-        return np.array([ut * np.sin(phi) + un * np.cos(phi),
-                         ut * np.cos(phi) - un * np.sin(phi)])
+        return np.stack([ut * np.sin(phi) + un * np.cos(phi),
+                         ut * np.cos(phi) - un * np.sin(phi)], axis=-1)
 
-    def exact_n(phi: float) -> float:
+    def exact_n(phi):
         return a1 * np.sin(phi) - q * radius * np.cos(phi)**2
 
-    def exact_m(phi: float) -> float:
+    def exact_m(phi):
         return a1 * radius * np.sin(phi) + a2 - q * radius**2 / 2 * (1 + 0.5 * np.cos(2 * phi))
 
     params = dict(radius=radius, q=q, ea=ea, ei=ei, c1=c1, c2=c2, c3=c3,
@@ -242,17 +261,17 @@ def build_arch_half(n_elements: int, t: float) -> BenchmarkProblem:
     curve = _refine_to(base, n_elements)
     section = CrossSection(ea=params["ea"], ei=params["ei"])
 
-    def distributed(s: float) -> np.ndarray:
-        phi = s / radius
-        return np.array([0.0, -q * math.sin(phi)])
+    def distributed(s):
+        phi = np.asarray(s, dtype=float) / radius
+        return np.stack([np.zeros_like(phi), -q * np.sin(phi)], axis=-1)
 
     loads = LoadSpec(distributed=distributed)
     constraints = (clamped_end_constraints(curve, "start")
                    + symmetry_end_constraints(curve, "end"))
 
-    def angle_map(xi: float) -> float:
+    def angle_map(xi):
         pt = evaluate_geometry(curve, xi)[0]
-        return math.atan2(pt[1], -pt[0])
+        return np.arctan2(pt[..., 1], -pt[..., 0])
 
     crown_uy = float(exact_u(math.pi / 2)[1])
     return BenchmarkProblem(
@@ -293,9 +312,9 @@ def build_ellipse_quarter(n_elements: int, t: float,
     loads = LoadSpec(point_loads=[("end", np.array([0.0, -p_load]))])
     constraints = clamped_end_constraints(curve, "start")
 
-    def angle_map(xi: float) -> float:
+    def angle_map(xi):
         pt = evaluate_geometry(curve, xi)[0]
-        return math.atan2(pt[1] / b_ax, -pt[0] / a_ax)
+        return np.arctan2(pt[..., 1] / b_ax, -pt[..., 0] / a_ax)
 
     point_checks = []
     if with_reference_checks:

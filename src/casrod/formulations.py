@@ -65,10 +65,9 @@ class ElementFormulation(Enum):
 
 @dataclass
 class ElementMatrices:
-    """Element stiffness block, load block, and global dof indices."""
+    """Element stiffness block and global dof indices."""
 
     k: np.ndarray
-    f: np.ndarray
     dof_map: np.ndarray
 
 
@@ -217,8 +216,7 @@ class PatchOperators:
         if self._km is not None:
             k = k + self._km[element]
         k = 0.5 * (k + k.T)  # remove contraction-order roundoff asymmetry
-        dof_map = self.dof_map(element)
-        return ElementMatrices(k=k, f=np.zeros(len(dof_map)), dof_map=dof_map)
+        return ElementMatrices(k=k, dof_map=self.dof_map(element))
 
     # -- patch-level membrane operator for the global B-bar method ------------
 

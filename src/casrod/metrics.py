@@ -16,7 +16,7 @@ from .assembly import RodSolution
 from .benchmarks import BenchmarkProblem
 from .errors import InsufficientDataError, MissingExactFieldError
 from .rod import frames_at
-from .splines import arc_lengths_at, nurbs_basis, nurbs_basis_many
+from .splines import arc_lengths_at, nurbs_basis_many
 
 __all__ = [
     "ErrorReport",
@@ -54,27 +54,25 @@ class ConvergenceRecord:
     report: ErrorReport
 
 
-def displacement_at(solution: RodSolution, xi: float) -> np.ndarray:
-    """Displacement vector u^h(xi) of a solved discretization."""
-    be = nurbs_basis(solution.curve, xi, max_deriv=0)
-    rows = solution.u[be.first_active:be.first_active + solution.curve.degree + 1]
-    return be.values @ rows
+def displacement_at(solution: RodSolution, xi) -> np.ndarray:
+    """Displacement u^h(xi) of a solved discretization.
 
-
-def _displacements_at(solution: RodSolution, xis: np.ndarray) -> np.ndarray:
-    bb = nurbs_basis_many(solution.curve, xis, max_deriv=0)
-    p = solution.curve.degree
-    rows = solution.u[bb.first_active[:, None] + np.arange(p + 1)]
-    return np.einsum("mj,mjc->mc", bb.values, rows)
+    Broadcasts over xi: a float gives a 2-vector, an array of shape S gives
+    an array of shape S + (2,).
+    """
+    xi = np.asarray(xi, dtype=float)
+    bb = nurbs_basis_many(solution.curve, xi.reshape(-1), max_deriv=0)
+    rows = solution.u[bb.first_active[:, None] + np.arange(solution.curve.degree + 1)]
+    return np.einsum("mj,mjc->mc", bb.values, rows).reshape(xi.shape + (2,))
 
 
 def point_errors(problem: BenchmarkProblem, solution: RodSolution) -> dict[str, float]:
     """Relative displacement errors at the problem's reference points."""
-    out = {}
-    for check in problem.point_checks:
-        value = float(displacement_at(solution, check.xi) @ np.asarray(check.direction))
-        out[check.label] = abs(value - check.value) / abs(check.value)
-    return out
+    checks = problem.point_checks
+    u = displacement_at(solution, [c.xi for c in checks])
+    directions = np.array([c.direction for c in checks], dtype=float).reshape(-1, 2)
+    values = np.einsum("mc,mc->m", u, directions)
+    return {c.label: abs(float(v) - c.value) / abs(c.value) for c, v in zip(checks, values)}
 
 
 def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
@@ -96,24 +94,24 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
     xis = (mids[:, None] + halves[:, None] * pts).reshape(-1)
     jac = frames_at(curve, xis).jac.reshape(curve.n_elements, -1)
     wds = (jac * halves[:, None] * wts).reshape(-1)
-    phis = np.array([problem.angle_map(float(x)) for x in xis])
+    phis = problem.angle_map(xis)
 
     e_u = e_n = e_m = None
     if problem.exact_u is not None:
-        u_h = _displacements_at(solution, xis)
-        u_ex = np.array([problem.exact_u(p) for p in phis])
+        u_h = displacement_at(solution, xis)
+        u_ex = problem.exact_u(phis)
         num_u = float(np.sum(wds * np.sum((u_h - u_ex) ** 2, axis=1)))
         den_u = float(np.sum(wds * np.sum(u_ex**2, axis=1)))
         e_u = np.sqrt(num_u / den_u)
     if problem.exact_n is not None:
         n_h = solution.ops.membrane_force_profile(solution.u, xis)
-        n_ex = np.array([problem.exact_n(p) for p in phis])
+        n_ex = problem.exact_n(phis)
         num_n = float(np.sum(wds * (n_h - n_ex) ** 2))
         den_n = float(np.sum(wds * n_ex**2))
         e_n = np.sqrt(num_n / den_n)
     if problem.exact_m is not None:
         m_h = solution.ops.bending_moment_profile(solution.u, xis)
-        m_ex = np.array([problem.exact_m(p) for p in phis])
+        m_ex = problem.exact_m(phis)
         num_m = float(np.sum(wds * (m_h - m_ex) ** 2))
         den_m = float(np.sum(wds * m_ex**2))
         e_m = np.sqrt(num_m / den_m)
@@ -127,13 +125,11 @@ def _nudge_off_knots(xis: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
     The bending moment (and the local assumed strains) are discontinuous
     across knots, so sampling exactly on one is ambiguous.
     """
-    out = xis.copy()
-    for i, xi in enumerate(out):
-        j = np.argmin(np.abs(breakpoints - xi))
-        if abs(breakpoints[j] - xi) < _KNOT_OFFSET:
-            bp = breakpoints[j]
-            out[i] = bp - _KNOT_OFFSET if bp >= 1.0 else bp + _KNOT_OFFSET
-    return out
+    k = np.clip(np.searchsorted(breakpoints, xis), 1, len(breakpoints) - 1)
+    left, right = breakpoints[k - 1], breakpoints[k]
+    nearest = np.where(xis - left <= right - xis, left, right)
+    inward = np.where(nearest >= 1.0, nearest - _KNOT_OFFSET, nearest + _KNOT_OFFSET)
+    return np.where(np.abs(nearest - xis) < _KNOT_OFFSET, inward, xis)
 
 
 def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
@@ -150,14 +146,12 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
     s = arc_lengths_at(curve, xis)
     n_h = solution.ops.membrane_force_profile(solution.u, xis)
     m_h = solution.ops.bending_moment_profile(solution.u, xis)
-    u_h = _displacements_at(solution, xis)
-    rows = np.empty((n_samples, len(FIELD_COLUMNS)))
-    for i, xi in enumerate(xis):
-        phi = problem.angle_map(float(xi))
-        n_ex = problem.exact_n(phi) if problem.exact_n is not None else np.nan
-        m_ex = problem.exact_m(phi) if problem.exact_m is not None else np.nan
-        rows[i] = (s[i], phi, u_h[i, 0], u_h[i, 1], n_h[i], m_h[i], n_ex, m_ex)
-    return rows
+    u_h = displacement_at(solution, xis)
+    phi = problem.angle_map(xis)
+    missing = np.full(n_samples, np.nan)
+    n_ex = missing if problem.exact_n is None else problem.exact_n(phi)
+    m_ex = missing if problem.exact_m is None else problem.exact_m(phi)
+    return np.column_stack([s, phi, u_h, n_h, m_h, n_ex, m_ex])
 
 
 def convergence_rate(points: list[tuple[int, float]]) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateParametrizationError
-from .splines import NurbsCurve, nurbs_basis, nurbs_basis_many
+from .splines import NurbsCurve, nurbs_basis_many
 
 __all__ = [
     "ROT90",
@@ -93,32 +93,6 @@ class ControlDisplacements:
         return self.u[frame.first_active:frame.first_active + len(frame.dN_ds)]
 
 
-def frame_at(curve: NurbsCurve, xi: float) -> GeometryFrame:
-    """Evaluate the local frame and arc-length basis derivatives at xi.
-
-    The chain rule from the parametric coordinate to arc length gives
-    dN/ds = N' / jac and d2N/ds2 = N'' / jac^2 - N' (r' . r'') / jac^4,
-    with jac = ||r'||. da2/ds is the rotated tangent rate, computed exactly
-    from r'' rather than by numerical differentiation.
-    """
-    be = nurbs_basis(curve, xi, max_deriv=2)
-    q = curve.control_points[be.first_active:be.first_active + curve.degree + 1]
-    r1 = be.d1 @ q
-    r2 = be.d2 @ q
-    jac = float(np.hypot(r1[0], r1[1]))
-    if jac < _MIN_JACOBIAN:
-        raise DegenerateParametrizationError(f"zero parametric speed at xi={xi}")
-    a1 = r1 / jac
-    a2 = ROT90 @ a1
-    # da1/ds: normal projection of r'' scaled by jac^2.
-    da1_ds = (r2 - a1 * (a1 @ r2)) / jac**2
-    da2_ds = ROT90 @ da1_ds
-    rdot = r1 @ r2
-    dn_ds = be.d1 / jac
-    d2n_ds2 = be.d2 / jac**2 - be.d1 * (rdot / jac**4)
-    return GeometryFrame(a1, a2, da2_ds, jac, dn_ds, d2n_ds2, be.first_active)
-
-
 @dataclass
 class FrameBatch:
     """Vectorized frames: row i of every array belongs to the i-th point."""
@@ -140,7 +114,13 @@ class FrameBatch:
 
 
 def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
-    """Vectorized frame_at over an array of parametric points."""
+    """Evaluate the local frames and arc-length basis derivatives at each xi.
+
+    The chain rule from the parametric coordinate to arc length gives
+    dN/ds = N' / jac and d2N/ds2 = N'' / jac^2 - N' (r' . r'') / jac^4,
+    with jac = ||r'||. da2/ds is the rotated tangent rate, computed exactly
+    from r'' rather than by numerical differentiation.
+    """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     bb = nurbs_basis_many(curve, xis, max_deriv=2)
     q = curve.control_points[bb.first_active[:, None] + np.arange(curve.degree + 1)]
@@ -148,9 +128,11 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     r2 = np.einsum("mj,mjc->mc", bb.d2, q)
     jac = np.hypot(r1[:, 0], r1[:, 1])
     if np.any(jac < _MIN_JACOBIAN):
-        raise DegenerateParametrizationError("zero parametric speed in batch")
+        raise DegenerateParametrizationError(
+            f"zero parametric speed at xi={xis[np.argmax(jac < _MIN_JACOBIAN)]}")
     a1 = r1 / jac[:, None]
     a2 = a1 @ ROT90.T
+    # da1/ds: normal projection of r'' scaled by jac^2.
     proj = np.einsum("mc,mc->m", a1, r2)
     da1_ds = (r2 - a1 * proj[:, None]) / jac[:, None] ** 2
     da2_ds = da1_ds @ ROT90.T
@@ -158,6 +140,11 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     dn_ds = bb.d1 / jac[:, None]
     d2n_ds2 = bb.d2 / jac[:, None] ** 2 - bb.d1 * (rdot / jac**4)[:, None]
     return FrameBatch(bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2)
+
+
+def frame_at(curve: NurbsCurve, xi: float) -> GeometryFrame:
+    """frames_at at the single point xi."""
+    return frames_at(curve, [xi]).frame(0)
 
 
 def membrane_strain(frame: GeometryFrame, u_active: np.ndarray) -> float:

@@ -82,10 +82,7 @@ class KnotVector:
 
         xi = 1 is treated as belonging to the last nonzero span.
         """
-        if not 0.0 <= xi <= 1.0:
-            raise OutOfDomainError(f"xi={xi} outside parametric domain [0, 1]")
-        k = int(np.searchsorted(self.knots, xi, side="right")) - 1
-        return min(max(k, self.degree), len(self.knots) - self.degree - 2)
+        return int(_find_spans(self, np.array([xi], dtype=float))[0])
 
     def element_span(self, element: int) -> tuple[float, float]:
         """Parametric interval of the given element (0-based)."""
@@ -158,80 +155,6 @@ def make_open_uniform_knot_vector(degree: int, n_elements: int) -> KnotVector:
     return KnotVector(degree, knots)
 
 
-def _value_triangle(t: np.ndarray, p: int, k: int, xi: float) -> list[list[float]]:
-    """Values of the active basis functions for all degrees 0..p on span k.
-
-    tri[d][j] is the value of function (k-d+j) of degree d at xi. The 0/0
-    convention of the recursion is realized by skipping zero-width terms.
-    """
-    tri = [[1.0]]
-    for d in range(1, p + 1):
-        prev = tri[d - 1]
-        cur = [0.0] * (d + 1)
-        for j in range(d + 1):
-            i = k - d + j
-            acc = 0.0
-            if j >= 1:
-                den = t[i + d] - t[i]
-                if den > 0.0:
-                    acc += (xi - t[i]) / den * prev[j - 1]
-            if j <= d - 1:
-                den = t[i + d + 1] - t[i + 1]
-                if den > 0.0:
-                    acc += (t[i + d + 1] - xi) / den * prev[j]
-            cur[j] = acc
-        tri.append(cur)
-    return tri
-
-
-def _derivative_step(lower: list[float], d: int, k: int, t: np.ndarray) -> list[float]:
-    """One differentiation of the degree-d functions on span k.
-
-    `lower` holds the (already differentiated as needed) degree-(d-1)
-    functions on the same span; the output aligns with the d+1 active
-    degree-d functions.
-    """
-    out = [0.0] * (d + 1)
-    for j in range(d + 1):
-        i = k - d + j
-        acc = 0.0
-        if j >= 1:
-            den = t[i + d] - t[i]
-            if den > 0.0:
-                acc += lower[j - 1] / den
-        if j <= d - 1:
-            den = t[i + d + 1] - t[i + 1]
-            if den > 0.0:
-                acc -= lower[j] / den
-        out[j] = d * acc
-    return out
-
-
-def bspline_basis(kv: KnotVector, xi: float, max_deriv: int = 2) -> BasisEval:
-    """Nonzero B-spline basis values and parametric derivatives at xi.
-
-    Derivatives use the standard degree-reduction formula rather than
-    differentiating the recursion, for numerical stability.
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise OutOfDomainError(f"xi={xi} outside parametric domain [0, 1]")
-    p, t = kv.degree, kv.knots
-    k = kv.find_span(xi)
-    tri = _value_triangle(t, p, k, xi)
-    values = np.array(tri[p])
-    d1 = None
-    d2 = None
-    if max_deriv >= 1:
-        d1 = np.array(_derivative_step(tri[p - 1], p, k, t))
-    if max_deriv >= 2:
-        if p >= 2:
-            dlow = _derivative_step(tri[p - 2], p - 1, k, t)
-            d2 = np.array(_derivative_step(dlow, p, k, t))
-        else:
-            d2 = np.zeros(p + 1)
-    return BasisEval(k - p, values, d1, d2)
-
-
 @dataclass
 class BasisBatch:
     """Vectorized counterpart of BasisEval: row i holds the data at xis[i]."""
@@ -243,8 +166,9 @@ class BasisBatch:
 
 
 def _find_spans(kv: KnotVector, xis: np.ndarray) -> np.ndarray:
-    if np.any(xis < 0.0) or np.any(xis > 1.0):
-        raise OutOfDomainError("xi values outside parametric domain [0, 1]")
+    outside = ~((xis >= 0.0) & (xis <= 1.0))  # NaN compares false, so it is outside
+    if np.any(outside):
+        raise OutOfDomainError(f"xi={xis[outside][0]} outside parametric domain [0, 1]")
     k = np.searchsorted(kv.knots, xis, side="right") - 1
     return np.clip(k, kv.degree, len(kv.knots) - kv.degree - 2).astype(int)
 
@@ -289,7 +213,11 @@ def _derivative_step_many(lower: np.ndarray, d: int, k: np.ndarray,
 
 
 def bspline_basis_many(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
-    """Vectorized bspline_basis over an array of parametric points."""
+    """Nonzero B-spline basis values and parametric derivatives at each xi.
+
+    Derivatives use the standard degree-reduction formula rather than
+    differentiating the recursion, for numerical stability.
+    """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     p, t = kv.degree, kv.knots
     k = _find_spans(kv, xis)
@@ -307,7 +235,11 @@ def bspline_basis_many(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
 
 
 def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
-    """Vectorized nurbs_basis over an array of parametric points."""
+    """Rational basis values and parametric derivatives at each xi.
+
+    Quotient rule applied to the weighted B-spline sum; partition of unity
+    holds for the values and the derivative rows sum to zero.
+    """
     bb = bspline_basis_many(curve.knot_vector, xis, max_deriv)
     p = curve.degree
     w = curve.weights[bb.first_active[:, None] + np.arange(p + 1)]
@@ -326,36 +258,33 @@ def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
     return BasisBatch(bb.first_active, r, r1, r2)
 
 
+def _first_row(bb: BasisBatch) -> BasisEval:
+    return BasisEval(int(bb.first_active[0]), bb.values[0],
+                     None if bb.d1 is None else bb.d1[0],
+                     None if bb.d2 is None else bb.d2[0])
+
+
+def bspline_basis(kv: KnotVector, xi: float, max_deriv: int = 2) -> BasisEval:
+    """bspline_basis_many at the single point xi."""
+    return _first_row(bspline_basis_many(kv, [xi], max_deriv))
+
+
 def nurbs_basis(curve: NurbsCurve, xi: float, max_deriv: int = 2) -> BasisEval:
-    """Rational basis values and parametric derivatives at xi.
+    """nurbs_basis_many at the single point xi."""
+    return _first_row(nurbs_basis_many(curve, [xi], max_deriv))
 
-    Quotient rule applied to the weighted B-spline sum; partition of unity
-    holds for the values and the derivative rows sum to zero.
+
+def evaluate_geometry(curve: NurbsCurve, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Point r(xi) and parametric derivatives dr/dxi, d2r/dxi2 of the curve.
+
+    Broadcasts over xi: a float gives three 2-vectors, an array of shape S
+    gives three arrays of shape S + (2,).
     """
-    be = bspline_basis(curve.knot_vector, xi, max_deriv)
-    sl = slice(be.first_active, be.first_active + curve.degree + 1)
-    w = curve.weights[sl]
-    a = w * be.values
-    wsum = a.sum()
-    r = a / wsum
-    r1 = None
-    r2 = None
-    if max_deriv >= 1:
-        a1 = w * be.d1
-        w1 = a1.sum()
-        r1 = (a1 - r * w1) / wsum
-        if max_deriv >= 2:
-            a2 = w * be.d2
-            w2 = a2.sum()
-            r2 = (a2 - 2.0 * r1 * w1 - r * w2) / wsum
-    return BasisEval(be.first_active, r, r1, r2)
-
-
-def evaluate_geometry(curve: NurbsCurve, xi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Point r(xi) and parametric derivatives dr/dxi, d2r/dxi2 of the curve."""
-    be = nurbs_basis(curve, xi, max_deriv=2)
-    q = curve.control_points[be.first_active:be.first_active + curve.degree + 1]
-    return be.values @ q, be.d1 @ q, be.d2 @ q
+    xi = np.asarray(xi, dtype=float)
+    bb = nurbs_basis_many(curve, xi.reshape(-1), max_deriv=2)
+    q = curve.control_points[bb.first_active[:, None] + np.arange(curve.degree + 1)]
+    return tuple(np.einsum("mj,mjc->mc", rows, q).reshape(xi.shape + (2,))
+                 for rows in (bb.values, bb.d1, bb.d2))
 
 
 def insert_knot(curve: NurbsCurve, u: float) -> NurbsCurve:

@@ -16,9 +16,10 @@ from casrod import (
     frame_at,
     solve_problem,
 )
-from casrod.benchmarks import _arch_exact
+from casrod.benchmarks import _arch_exact, _refine_to
 from casrod.errors import MissingExactFieldError, OutOfDomainError
 from casrod.metrics import l2_errors
+from casrod.splines import insert_knot
 
 
 def five_point_derivative(f, x, h):
@@ -227,3 +228,25 @@ class TestExactFields:
         fields = exact_fields(problem, 0.5)
         assert "u" not in fields
         assert set(fields) == {"N", "M"}
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("build", [lambda: build_ring_quarter(1, 1e6),
+                                       lambda: build_arch_half(1, 0.01),
+                                       lambda: build_ellipse_quarter(1, 0.04)],
+                             ids=["ring", "arch", "ellipse"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_closed_form_matches_sequential_insertion(self, build, n):
+        base = build().curve
+        oracle = base
+        for j in range(1, n):
+            oracle = insert_knot(oracle, j / n)
+        refined = _refine_to(base, n)
+        np.testing.assert_array_equal(refined.knot_vector.knots, oracle.knot_vector.knots)
+        for got, want in [(refined.control_points, oracle.control_points),
+                          (refined.weights, oracle.weights)]:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_rejects_fewer_than_one_element(self):
+        with pytest.raises(ValueError, match="n_elements"):
+            _refine_to(build_ring_quarter(1, 1e6).curve, 0)

@@ -365,4 +365,3 @@ class TestConvenienceWrappers:
             ops = PatchOperators(quarter_circle, section, form)
             np.testing.assert_array_equal(em.k, ops.element_matrices(0).k)
             np.testing.assert_array_equal(em.dof_map, [0, 1, 2, 3, 4, 5])
-            np.testing.assert_array_equal(em.f, 0.0)

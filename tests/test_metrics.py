@@ -8,10 +8,12 @@ from scipy.optimize import brentq
 
 from casrod import (
     ElementFormulation,
+    assemble,
     build_arch_half,
     build_ellipse_quarter,
     build_ring_quarter,
     convergence_rate,
+    displacement_at,
     l2_errors,
     sample_fields,
     solve_problem,
@@ -39,19 +41,17 @@ class TestL2Errors:
         problem = build_arch_half(4, 0.1)
         sol = solve_problem(problem, ElementFormulation.CAS)
 
-        from casrod.metrics import _displacements_at
+        def xis_of(phi):
+            return np.array([xi_of_angle(problem, float(p)) for p in np.ravel(phi)])
 
         def u_from_solution(phi):
-            xi = xi_of_angle(problem, phi)
-            return _displacements_at(sol, np.array([xi]))[0]
+            return displacement_at(sol, xis_of(phi)).reshape(np.shape(phi) + (2,))
 
         def n_from_solution(phi):
-            xi = xi_of_angle(problem, phi)
-            return float(sol.ops.membrane_force_profile(sol.u, [xi])[0])
+            return sol.ops.membrane_force_profile(sol.u, xis_of(phi)).reshape(np.shape(phi))
 
         def m_from_solution(phi):
-            xi = xi_of_angle(problem, phi)
-            return float(sol.ops.bending_moment_profile(sol.u, [xi])[0])
+            return sol.ops.bending_moment_profile(sol.u, xis_of(phi)).reshape(np.shape(phi))
 
         injected = dataclasses.replace(problem, exact_u=u_from_solution,
                                        exact_n=n_from_solution,
@@ -140,6 +140,36 @@ class TestL2Errors:
         assert rot.e_m == pytest.approx(base.e_m, rel=1e-8)
         for key in base.point_errors:
             assert rot.point_errors[key] == pytest.approx(base.point_errors[key], rel=1e-6)
+
+
+class TestBatchedCallbacks:
+    def test_problem_callables_called_once_per_evaluation(self):
+        # angle map, exact fields and distributed load are array callables:
+        # each evaluation hands them all its points in one call
+        problem = build_arch_half(8, 0.01)
+        sol = solve_problem(problem, ElementFormulation.CAS)
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(x)
+            return wrapper
+
+        names = ("angle_map", "exact_u", "exact_n", "exact_m")
+        counted_problem = dataclasses.replace(
+            problem, **{name: counted(name, getattr(problem, name)) for name in names},
+            loads=dataclasses.replace(problem.loads, distributed=counted(
+                "distributed", problem.loads.distributed)))
+
+        l2_errors(counted_problem, sol)
+        assert calls == {name: 1 for name in names}
+        calls.clear()
+        sample_fields(counted_problem, sol, 101)
+        assert calls == {"angle_map": 1, "exact_n": 1, "exact_m": 1}
+        calls.clear()
+        assemble(problem.curve, problem.section, ElementFormulation.CAS, counted_problem.loads)
+        assert calls == {"distributed": 1}
 
 
 class TestSampleFields:

@@ -8,6 +8,7 @@ from casrod import (
     NurbsCurve,
     bspline_basis,
     evaluate_geometry,
+    frame_at,
     greville_abscissae,
     insert_knot,
     make_open_uniform_knot_vector,
@@ -133,6 +134,17 @@ class TestBsplineBasis:
             bspline_basis(kv, 1.2)
         with pytest.raises(OutOfDomainError):
             bspline_basis(kv, -0.1)
+
+    @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf, 1.2, -0.1])
+    @pytest.mark.parametrize("evaluate", [
+        lambda curve, xi: bspline_basis(curve.knot_vector, xi),
+        lambda curve, xi: nurbs_basis_many(curve, [0.5, xi]),
+        frame_at,
+        lambda curve, xi: arc_lengths_at(curve, [0.5, xi]),
+    ], ids=["bspline_basis", "nurbs_basis_many", "frame_at", "arc_lengths_at"])
+    def test_non_finite_and_out_of_domain_rejected(self, quarter_ellipse, evaluate, xi):
+        with pytest.raises(OutOfDomainError):
+            evaluate(refine_uniform(quarter_ellipse), xi)
 
     def test_batch_matches_scalar(self):
         kv = make_open_uniform_knot_vector(2, 6)
