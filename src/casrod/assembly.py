@@ -1,13 +1,16 @@
 """Global assembly, loads, constraint application, and symmetric solve.
 
-Assembly scatters element blocks through contiguous dof maps (dof 2B+i is the
-i-th Cartesian component of control variable B). Homogeneous constraints are
-imposed by row/column elimination; a same-component tie between two control
-variables (needed for the zero-rotation condition at symmetry ends, where the
-end displacement itself stays free) is imposed by folding the slave dof into
-its master. The constrained system is solved by a symmetric positive-definite
-factorization, banded for element-local formulations and dense for the global
-B-bar method.
+The stiffness is held in one storage from assembly to solve: the LAPACK
+upper band of `banded`. Element blocks sit on contiguous dof ranges (dof
+2B+i is the i-th Cartesian component of control variable B), so
+element-local formulations give half-bandwidth 2(p+1)-1 = 5; the dense
+global B-bar membrane matrix fills the band. Homogeneous constraints are
+imposed by row/column elimination on the band; a same-component tie between
+two control variables (needed for the zero-rotation condition at symmetry
+ends, where the end displacement itself stays free) is imposed by folding
+the slave dof into its master, which widens the band by the distance between
+the two dofs. The constrained system is solved by a banded Cholesky
+factorization.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
+from . import banded
 from .errors import NonAxisAlignedRotationError, SingularSystemError
 from .formulations import ElementFormulation, PatchOperators
 from .quadrature import QuadratureRule, gauss_rule  # noqa: F401  (re-exported)
@@ -79,25 +83,44 @@ class TieDof:
     component: int
 
 
-@dataclass
-class GlobalSystem:
-    """Assembled stiffness and load vector before constraint application."""
+class _BandStiffness:
+    """Read-only views of a stiffness held as the upper band `ab`."""
 
-    k: np.ndarray
+    ab: np.ndarray
+
+    @property
+    def half_bandwidth(self) -> int:
+        return self.ab.shape[0] - 1
+
+    @property
+    def k(self) -> np.ndarray:
+        """The stiffness as a dense array, expanded on every access (for
+        inspection and tests; the solve path never uses it)."""
+        return banded.to_dense(self.ab)
+
+
+@dataclass
+class GlobalSystem(_BandStiffness):
+    """Assembled stiffness (upper band `ab`) and load vector before constraints."""
+
+    ab: np.ndarray
     f: np.ndarray
-    banded: bool  # element-local formulations keep a narrow band
+
+    @property
+    def banded(self) -> bool:
+        """True when the band is narrower than the full matrix."""
+        return self.half_bandwidth < len(self.f) - 1
 
 
 @dataclass
-class ConstrainedSystem:
+class ConstrainedSystem(_BandStiffness):
     """Reduced system after elimination, with bookkeeping to expand solutions."""
 
-    k: np.ndarray
+    ab: np.ndarray                 # reduced stiffness, upper band
     f: np.ndarray
     free_dofs: np.ndarray          # full-system indices of the reduced unknowns
     slave_pairs: list[tuple[int, int]]  # (slave dof, master dof) ties
     n_full: int
-    banded: bool
 
     @property
     def n_dof(self) -> int:
@@ -125,23 +148,15 @@ def assemble(curve: NurbsCurve, section: CrossSection,
              formulation: ElementFormulation, loads: LoadSpec,
              quad_points: int | None = None,
              ops: PatchOperators | None = None) -> GlobalSystem:
-    """Assemble the global stiffness matrix and consistent load vector.
+    """Assemble the global stiffness band and consistent load vector.
 
-    The distributed load is called once, on the arc lengths of all
-    quadrature points (see `LoadSpec`).
+    The stiffness comes from `PatchOperators.stiffness_band`. The distributed
+    load is called once, on the arc lengths of all quadrature points (see
+    `LoadSpec`).
     """
     if ops is None:
         ops = PatchOperators(curve, section, formulation, quad_points)
-    n_dof = 2 * curve.n_basis
-    k = np.zeros((n_dof, n_dof))
-    f = np.zeros(n_dof)
-
-    for e in range(curve.n_elements):
-        em = ops.element_matrices(e)
-        sl = slice(em.dof_map[0], em.dof_map[-1] + 1)
-        k[sl, sl] += em.k
-    if formulation is ElementFormulation.GLOBAL_BBAR:
-        k += ops.patch_membrane_matrix()
+    f = np.zeros(2 * curve.n_basis)
 
     for end, force in loads.point_loads:
         if end not in ("start", "end"):
@@ -161,8 +176,7 @@ def assemble(curve: NurbsCurve, section: CrossSection,
         for j in reversed(range(curve.degree + 1)):  # ascending element order per control
             f_ctrl[j:j + n_el] += fe[:, j]
 
-    banded = formulation is not ElementFormulation.GLOBAL_BBAR
-    return GlobalSystem(k=k, f=f, banded=banded)
+    return GlobalSystem(ab=ops.stiffness_band(), f=f)
 
 
 def _rotation_component(curve: NurbsCurve, end: str) -> int:
@@ -203,9 +217,13 @@ def symmetry_end_constraints(curve: NurbsCurve, end: str) -> list:
 
 
 def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSystem:
-    """Eliminate fixed dofs and fold tied (slave) dofs into their masters."""
+    """Eliminate fixed dofs and fold tied (slave) dofs into their masters.
+
+    Works on the band in O(n * hb). Each tie widens the working band by the
+    distance between its dofs (2 for the end ties); the reduced band is then
+    trimmed to its nonzero half-width.
+    """
     n = len(system.f)
-    k = system.k.copy()
     f = system.f.copy()
     removed = np.zeros(n, dtype=bool)
     slave_pairs: list[tuple[int, int]] = []
@@ -217,12 +235,6 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
             if not (0 <= slave < n and 0 <= master < n):
                 raise ValueError(f"tie constraint out of range: {c}")
             slave_pairs.append((slave, master))
-
-    for slave, master in slave_pairs:
-        k[master, :] += k[slave, :]
-        k[:, master] += k[:, slave]
-        f[master] += f[slave]
-        removed[slave] = True
 
     slaves = {slave for slave, _ in slave_pairs}
     for c in constraints:
@@ -236,55 +248,89 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
         elif not isinstance(c, TieDof):
             raise TypeError(f"unsupported constraint type: {type(c).__name__}")
 
-    free = np.flatnonzero(~removed)
-    k_red = k[np.ix_(free, free)]
-    f_red = f[free]
-    return ConstrainedSystem(k=k_red, f=f_red, free_dofs=free,
-                             slave_pairs=slave_pairs, n_full=n, banded=system.banded)
-
-
-def _half_bandwidth(k: np.ndarray) -> int:
-    nz = np.nonzero(k)
-    if len(nz[0]) == 0:
-        return 0
-    return int(np.max(np.abs(nz[0] - nz[1])))
-
-
-def _to_banded_upper(k: np.ndarray, hb: int) -> np.ndarray:
-    n = len(k)
+    hb = min(system.half_bandwidth + sum(abs(m - s) for s, m in slave_pairs), n - 1)
     ab = np.zeros((hb + 1, n))
-    for r in range(hb + 1):
-        ab[hb - r, r:] = np.diagonal(k, offset=r)
-    return ab
+    ab[hb - system.half_bandwidth:] = system.ab
+    for slave, master in slave_pairs:
+        _fold(ab, slave, master)
+        f[master] += f[slave]
+        removed[slave] = True
+
+    for dof in np.flatnonzero(removed)[::-1]:
+        ab = _drop(ab, dof)
+    nonzero = np.flatnonzero(ab.any(axis=1))  # trim to the nonzero half-width
+    free = np.flatnonzero(~removed)
+    return ConstrainedSystem(ab=ab[nonzero[0] if len(nonzero) else hb:], f=f[free],
+                             free_dofs=free, slave_pairs=slave_pairs, n_full=n)
 
 
-def solve(constrained: ConstrainedSystem, use_banded: bool | None = None) -> ControlDisplacements:
+def _row_views(ab: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of K[i - hb:i, i] (band column i) and K[i, i:i + hb + 1]."""
+    hb, n = ab.shape[0] - 1, ab.shape[1]
+    right = ab.reshape(-1)[hb * n + i::-(n - 1)]  # ab[hb - d, i + d]
+    return ab[:hb, i], right[:min(hb, n - 1 - i) + 1]
+
+
+def _fold(ab: np.ndarray, slave: int, master: int) -> None:
+    """K[master, :] += K[slave, :], then K[:, master] += K[:, slave], in place.
+
+    Only row (= column) master changes. Its diagonal becomes
+    (K[m,m] + K[s,m]) + (K[m,s] + K[s,s]), as the two dense updates give.
+    """
+    hb = ab.shape[0] - 1
+    w = hb + abs(slave - master)
+    row = np.zeros(2 * w + 1)  # K[master, master - w:master + w + 1]
+    for i in (master, slave):
+        left, right = _row_views(ab, i)
+        at = w + i - master
+        row[at - hb:at] += left
+        row[at:at + len(right)] += right
+    row[w] += row[w + slave - master]
+    left, right = _row_views(ab, master)
+    left[:] = row[w - hb:w]
+    right[:] = row[w:w + len(right)]
+
+
+def _drop(ab: np.ndarray, q: int) -> np.ndarray:
+    """Band of K with row and column q deleted.
+
+    Entries K[i, j] with i < q < j lose one from their offset, so they move
+    one band row down in their column; the deleted K[q, j] and the entries
+    that leave the top of the band become zero.
+    """
+    hb, n = ab.shape[0] - 1, ab.shape[1]
+    out = np.concatenate([ab[:, :q], ab[:, q + 1:]], axis=1)
+    j = np.arange(q + 1, min(q + hb, n - 1) + 1)
+    out[np.maximum(hb - j, 0), j - 1] = 0.0
+    i0 = max(q - hb, 0)
+    ii, jj = np.nonzero(j - np.arange(i0, q)[:, None] <= hb)
+    j = j[jj]
+    rows = hb - (j - i0 - ii)  # band rows of the K[i, j], i = i0 + ii
+    out[rows + 1, j - 1] = ab[rows, j]
+    return out
+
+
+def solve(constrained: ConstrainedSystem) -> ControlDisplacements:
     """Solve the constrained SPD system and expand to full control displacements.
 
-    Raises SingularSystemError when the factorization fails or when the
-    normwise backward error ||Ku - f|| / (||K|| ||u|| + ||f||) exceeds 1e-10
+    Factors the band directly (`scipy.linalg.solveh_banded`). Raises
+    SingularSystemError when the factorization fails or when the normwise
+    backward error ||Ku - f|| / (||K|| ||u|| + ||f||) exceeds 1e-10
     (insufficient constraints or a broken system). The backward error is used
     instead of ||Ku - f|| / ||f|| because for very slender sections the
     membrane terms of K u cancel to ~machine epsilon times their magnitude,
     which makes the plain relative residual unevaluable in double precision.
     """
-    k, f = constrained.k, constrained.f
-    if use_banded is None:
-        use_banded = constrained.banded
+    ab, f = constrained.ab, constrained.f
     if len(f) == 0:
         u_full = np.zeros(constrained.n_full)
         return ControlDisplacements(u_full.reshape(-1, 2))
     try:
-        if use_banded:
-            hb = _half_bandwidth(k)
-            u_red = scipy.linalg.solveh_banded(_to_banded_upper(k, hb), f)
-        else:
-            cho = scipy.linalg.cho_factor(k)
-            u_red = scipy.linalg.cho_solve(cho, f)
+        u_red = scipy.linalg.solveh_banded(ab, f)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"factorization failed: {exc}") from exc
 
-    backward = solution_backward_error(k, u_red, f)
+    backward = _band_backward_error(ab, u_red, f)
     if backward > _RESIDUAL_TOL:
         raise SingularSystemError(
             f"solver backward error {backward:.3e} exceeds {_RESIDUAL_TOL:.0e}")
@@ -296,16 +342,24 @@ def solve(constrained: ConstrainedSystem, use_banded: bool | None = None) -> Con
     return ControlDisplacements(u_full.reshape(-1, 2))
 
 
-def solution_backward_error(k: np.ndarray, u: np.ndarray, f: np.ndarray) -> float:
-    """Normwise backward error ||Ku - f|| / (||K|| ||u|| + ||f||)."""
-    residual = float(np.linalg.norm(k @ u - f))
-    scale = float(np.linalg.norm(k, 1) * np.linalg.norm(u) + np.linalg.norm(f))
+def _band_backward_error(ab: np.ndarray, u: np.ndarray, f: np.ndarray) -> float:
+    """`solution_backward_error` for a stiffness held as the upper band ab."""
+    return _backward_error(banded.matvec(ab, u) - f, banded.norm1(ab), u, f)
+
+
+def _backward_error(residual: np.ndarray, k_norm1: float, u: np.ndarray,
+                    f: np.ndarray) -> float:
+    scale = float(k_norm1 * np.linalg.norm(u) + np.linalg.norm(f))
     if scale == 0.0:
         return 0.0
-    return residual / scale
+    return float(np.linalg.norm(residual)) / scale
+
+
+def solution_backward_error(k: np.ndarray, u: np.ndarray, f: np.ndarray) -> float:
+    """Normwise backward error ||Ku - f|| / (||K|| ||u|| + ||f||) of a dense k."""
+    return _backward_error(k @ u - f, float(np.linalg.norm(k, 1)), u, f)
 
 
 def reaction_forces(system: GlobalSystem, displacements: ControlDisplacements) -> np.ndarray:
     """Residual K u - f of the unconstrained system (reactions at constrained dofs)."""
-    u_flat = displacements.u.reshape(-1)
-    return system.k @ u_flat - system.f
+    return banded.matvec(system.ab, displacements.u.reshape(-1)) - system.f

@@ -36,7 +36,7 @@ from .errors import DegenerateParametrizationError, SingularSystemError
 from .formulations import ElementFormulation
 from .metrics import ConvergenceRecord, ErrorReport, l2_errors, point_errors, sample_fields
 
-__all__ = ["RunConfig", "convergence_records", "run_convergence_study",
+__all__ = ["RunConfig", "StudyError", "convergence_records", "run_convergence_study",
            "run_field_dump", "main", "CONVERGE_HEADER", "FIELDS_HEADER"]
 
 CONVERGE_HEADER = ("problem,formulation,quad_points,n_elements,n_dof,"
@@ -51,6 +51,34 @@ _POINT_COLUMNS = {
 }
 
 PROBLEMS = ("ring", "arch", "ellipse")
+
+_NUMERICAL_ERRORS = (SingularSystemError, DegenerateParametrizationError,
+                     np.linalg.LinAlgError)
+
+
+class StudyError(Exception):
+    """A mesh of a convergence study failed; the original error is `__cause__`.
+
+    The message and the attributes name the failing mesh. Raised as a
+    subclass of the original error's type too, where that type allows it, so
+    callers catching the original type still catch it.
+    """
+
+    def __init__(self, message: str, problem: str, n_elements: int, slenderness: float):
+        Exception.__init__(self, message)  # not the original type's constructor
+        self.problem = problem
+        self.n_elements = n_elements
+        self.slenderness = slenderness
+
+
+def _study_error(exc: Exception, problem: str, n_elements: int,
+                 slenderness: float) -> StudyError:
+    context = (f"{problem} at {n_elements} elements, slenderness {slenderness:g}: {exc}",
+               problem, n_elements, slenderness)
+    try:
+        return type(type(exc).__name__, (StudyError, type(exc)), {})(*context)
+    except TypeError:  # a type that cannot be subclassed or built this way
+        return StudyError(*context)
 
 
 @dataclass
@@ -114,9 +142,7 @@ def convergence_records(config: RunConfig) -> tuple[list[ConvergenceRecord], int
                     report = ErrorReport(e_u=None, e_n=None, e_m=None,
                                          point_errors=point_errors(problem, solution))
             except Exception as exc:
-                raise type(exc)(
-                    f"{config.problem} at {n_elements} elements, "
-                    f"slenderness {slenderness:g}: {exc}") from exc
+                raise _study_error(exc, config.problem, n_elements, slenderness) from exc
             quad_points = solution.quad_points
             records.append(ConvergenceRecord(n_elements=n_elements,
                                              n_dof=solution.n_dof,
@@ -236,13 +262,15 @@ def main(argv=None) -> int:
                                quad_points=args.quad_points,
                                out=args.out)
             text = run_field_dump(config)
-    except (SingularSystemError, DegenerateParametrizationError,
-            np.linalg.LinAlgError) as exc:
-        print(f"casrod: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"casrod: error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        original = exc.__cause__ if isinstance(exc, StudyError) else exc
+        if isinstance(original, _NUMERICAL_ERRORS):
+            print(f"casrod: numerical failure: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(original, ValueError):
+            print(f"casrod: error: {exc}", file=sys.stderr)
+            return 1
+        raise
 
     if config.out is None:
         sys.stdout.write(text)

@@ -28,9 +28,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solveh_banded
 
+from . import banded
 from .quadrature import QuadratureRule, gauss_rule
 from .rod import CrossSection, FrameBatch, frames_at
-from .splines import NurbsCurve, nurbs_basis_many
+from .splines import NurbsCurve
 
 __all__ = [
     "ElementFormulation",
@@ -121,13 +122,24 @@ class PatchOperators:
         mids = 0.5 * (bp[1:] + bp[:-1])
         self.xi_q = mids[:, None] + halves[:, None] * self.quad.points  # (n_el, nq)
 
-        flat = self.xi_q.reshape(-1)
-        fb = frames_at(curve, flat)
-        vb = nurbs_basis_many(curve, flat, max_deriv=0)
-        self.values = vb.values.reshape(n_el, nq, p + 1)
-        self.mrows = _membrane_rows(fb).reshape(n_el, nq, 2 * (p + 1))
-        self.brows = _bending_rows(fb).reshape(n_el, nq, 2 * (p + 1))
-        self.wds = fb.jac.reshape(n_el, nq) * halves[:, None] * self.quad.weights
+        # One frame batch: the quadrature points, then the strain points of
+        # the pair formulations (element end knots for CAS, 2-point Gauss
+        # abscissae for local ANS).
+        form = formulation
+        if form is ElementFormulation.CAS:
+            extra = bp
+        elif form is ElementFormulation.LOCAL_ANS:
+            extra = (mids[:, None] + halves[:, None]
+                     * np.array([-_GAUSS2_NODE, _GAUSS2_NODE])).reshape(-1)
+        else:
+            extra = bp[:0]
+        m = n_el * nq
+        fb = frames_at(curve, np.concatenate([self.xi_q.reshape(-1), extra]))
+        fq = fb[:m]
+        self.values = fq.values.reshape(n_el, nq, p + 1)
+        self.mrows = _membrane_rows(fq).reshape(n_el, nq, 2 * (p + 1))
+        self.brows = _bending_rows(fq).reshape(n_el, nq, 2 * (p + 1))
+        self.wds = fq.jac.reshape(n_el, nq) * halves[:, None] * self.quad.weights
 
         self._kb = np.einsum("eq,eqi,eqj->eij", section.ei * self.wds,
                              self.brows, self.brows)
@@ -136,20 +148,18 @@ class PatchOperators:
         self._bbar_proj = None
         self._patch_projection = None
 
-        form = formulation
         if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
             self._km = np.einsum("eq,eqi,eqj->eij", section.ea * self.wds,
                                  self.mrows, self.mrows)
         elif form is ElementFormulation.CAS:
-            self._pair_rows = self._cas_pair_rows()
-            mass = self._pair_mass(node=1.0)
-            self._km = section.ea * np.einsum("elm,eli,emj->eij", mass,
-                                              self._pair_rows, self._pair_rows)
+            self._pair_rows = self._cas_pair_rows(fb[m:])
+            self._km = self._pair_stiffness(self._pair_mass(node=1.0), self._pair_rows)
         elif form is ElementFormulation.LOCAL_ANS:
-            self._pair_rows = self._ans_pair_rows(mids, halves)
-            mass = self._pair_mass(node=_GAUSS2_NODE)
-            self._km = section.ea * np.einsum("elm,eli,emj->eij", mass,
-                                              self._pair_rows, self._pair_rows)
+            fx = fb[m:]
+            assert np.array_equal(fx.first_active, np.repeat(np.arange(n_el), 2))
+            self._pair_rows = _membrane_rows(fx).reshape(n_el, 2, -1)
+            self._km = self._pair_stiffness(self._pair_mass(node=_GAUSS2_NODE),
+                                            self._pair_rows)
         elif form is ElementFormulation.LOCAL_BBAR:
             mass = self._pair_mass(node=1.0)
             lvals = _linear_pair(self.quad.points, 1.0)
@@ -163,9 +173,7 @@ class PatchOperators:
             inv[:, 1, 0] = -mass[:, 1, 0]
             inv /= det[:, None, None]
             self._bbar_proj = np.einsum("elm,emi->eli", inv, rhs)
-            km = section.ea * np.einsum("elm,eli,emj->eij", mass,
-                                        self._bbar_proj, self._bbar_proj)
-            self._km = 0.5 * (km + km.transpose(0, 2, 1))
+            self._km = self._pair_stiffness(mass, self._bbar_proj)
         elif form is not ElementFormulation.GLOBAL_BBAR:
             raise AssertionError(form)
 
@@ -176,17 +184,22 @@ class PatchOperators:
         lvals = _linear_pair(self.quad.points, node)
         return np.einsum("eq,ql,qm->elm", self.wds, lvals, lvals)
 
-    def _cas_pair_rows(self) -> np.ndarray:
+    def _pair_stiffness(self, mass: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """EA * rows^T M rows per element, for 2 x (2(p+1)) strain rows."""
+        return self.section.ea * np.einsum("eli,elj->eij", rows,
+                                           np.einsum("elm,emj->elj", mass, rows))
+
+    def _cas_pair_rows(self, fb: FrameBatch) -> np.ndarray:
         """Membrane strain rows at both end knots of every element.
 
-        Each boundary row is evaluated once (in the span to its right, last
-        span for the end), then shared by the two adjacent elements, which
-        keeps the assumed strain exactly continuous across elements. The
-        basis function dropped when re-aligning a row to the neighboring
-        element has zero arc-length derivative at the shared knot.
+        `fb` holds the frames at the breakpoints. Each boundary row is
+        evaluated once (in the span to its right, last span for the end),
+        then shared by the two adjacent elements, which keeps the assumed
+        strain exactly continuous across elements. The basis function
+        dropped when re-aligning a row to the neighboring element has zero
+        arc-length derivative at the shared knot.
         """
         n_el = self.curve.n_elements
-        fb = frames_at(self.curve, self._bp)
         rows = _membrane_rows(fb)
         expected = np.minimum(np.arange(n_el + 1), n_el - 1)
         assert np.array_equal(fb.first_active, expected)
@@ -197,26 +210,46 @@ class PatchOperators:
         pair[-1, 1, :] = rows[-1]
         return pair
 
-    def _ans_pair_rows(self, mids: np.ndarray, halves: np.ndarray) -> np.ndarray:
-        """Membrane strain rows at the two 2-point Gauss abscissae per element."""
-        n_el = self.curve.n_elements
-        pts = (mids[:, None] + halves[:, None]
-               * np.array([-_GAUSS2_NODE, _GAUSS2_NODE])).reshape(-1)
-        fb = frames_at(self.curve, pts)
-        assert np.array_equal(fb.first_active, np.repeat(np.arange(n_el), 2))
-        return _membrane_rows(fb).reshape(n_el, 2, -1)
-
     # -- element blocks -------------------------------------------------------
 
     def dof_map(self, element: int) -> np.ndarray:
         return np.arange(2 * element, 2 * (element + self.curve.degree + 1))
 
-    def element_matrices(self, element: int) -> ElementMatrices:
+    def _element_stiffness(self, element=slice(None)) -> np.ndarray:
         k = self._kb[element]
         if self._km is not None:
             k = k + self._km[element]
-        k = 0.5 * (k + k.T)  # remove contraction-order roundoff asymmetry
-        return ElementMatrices(k=k, dof_map=self.dof_map(element))
+        # remove contraction-order roundoff asymmetry
+        return 0.5 * (k + np.swapaxes(k, -1, -2))
+
+    def element_matrices(self, element: int) -> ElementMatrices:
+        return ElementMatrices(k=self._element_stiffness(element),
+                               dof_map=self.dof_map(element))
+
+    def stiffness_band(self) -> np.ndarray:
+        """Patch stiffness in upper-band storage (see `banded`).
+
+        Element e's block sits on dofs 2e ... 2e + 2(p+1) - 1, so element-local
+        formulations give half-bandwidth 2(p+1)-1. The blocks are added with
+        one strided slice-add per upper-triangle entry (a, b), b descending:
+        where blocks overlap, element e's entry is added before element
+        e + 1's, so each band entry sums its elements in ascending order, as a
+        dense scatter does. The global B-bar membrane matrix couples every dof
+        pair and fills the band (half-width n-1); it is added after the
+        element blocks, as a dense sum would.
+        """
+        n_dof = 2 * self.curve.n_basis
+        dense = self.formulation is ElementFormulation.GLOBAL_BBAR
+        m = 2 * (self.curve.degree + 1)
+        hb = n_dof - 1 if dense else m - 1
+        ab = np.zeros((hb + 1, n_dof))
+        blocks = self._element_stiffness()
+        for b in reversed(range(m)):
+            for a in range(b + 1):
+                ab[hb + a - b, b:b + 2 * len(blocks):2] += blocks[:, a, b]
+        if dense:
+            ab += banded.from_dense(self.patch_membrane_matrix(), hb)
+        return ab
 
     # -- patch-level membrane operator for the global B-bar method ------------
 
@@ -257,18 +290,20 @@ class PatchOperators:
         """Element dof vectors as sliding windows over the flat dof vector."""
         return sliding_window_view(u_flat, 2 * (self.curve.degree + 1))[::2]
 
-    def membrane_strain_profile(self, u: np.ndarray, xis) -> np.ndarray:
+    def membrane_strain_profile(self, u: np.ndarray, xis,
+                                frames: FrameBatch | None = None) -> np.ndarray:
         """Membrane strain at the given parametric points.
 
         Uses the formulation's own strain representation: the assumed strain
         for CAS / local B-bar / local ANS / global B-bar, the compatible
-        strain for standard NURBS.
+        strain for standard NURBS. `frames`, when given, must be
+        `frames_at(curve, xis)`; callers that already hold it pass it here.
         """
         u_flat = np.asarray(u, dtype=float).reshape(-1)
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
         form = self.formulation
         if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
-            fb = frames_at(self.curve, xis)
+            fb = frames_at(self.curve, xis) if frames is None else frames
             rows = _membrane_rows(fb)
             win = self._element_windows(u_flat)
             return np.einsum("mi,mi->m", rows, win[fb.first_active])
@@ -292,20 +327,24 @@ class PatchOperators:
         lvals = _linear_pair(xhat, node)
         return np.einsum("ml,ml->m", lvals, coeff[e_idx])
 
-    def bending_strain_profile(self, u: np.ndarray, xis) -> np.ndarray:
-        """Compatible bending strain at the given parametric points."""
+    def bending_strain_profile(self, u: np.ndarray, xis,
+                               frames: FrameBatch | None = None) -> np.ndarray:
+        """Compatible bending strain at the given parametric points
+        (`frames` as in `membrane_strain_profile`)."""
         u_flat = np.asarray(u, dtype=float).reshape(-1)
         xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        fb = frames_at(self.curve, xis)
+        fb = frames_at(self.curve, xis) if frames is None else frames
         rows = _bending_rows(fb)
         win = self._element_windows(u_flat)
         return np.einsum("mi,mi->m", rows, win[fb.first_active])
 
-    def membrane_force_profile(self, u: np.ndarray, xis) -> np.ndarray:
-        return self.section.ea * self.membrane_strain_profile(u, xis)
+    def membrane_force_profile(self, u: np.ndarray, xis,
+                               frames: FrameBatch | None = None) -> np.ndarray:
+        return self.section.ea * self.membrane_strain_profile(u, xis, frames)
 
-    def bending_moment_profile(self, u: np.ndarray, xis) -> np.ndarray:
-        return self.section.ei * self.bending_strain_profile(u, xis)
+    def bending_moment_profile(self, u: np.ndarray, xis,
+                               frames: FrameBatch | None = None) -> np.ndarray:
+        return self.section.ei * self.bending_strain_profile(u, xis, frames)
 
 
 # -- free-function convenience wrappers ----------------------------------------
@@ -342,15 +381,11 @@ def element_stiffness_local_ans(curve: NurbsCurve, section: CrossSection,
 
 def patch_stiffness_global_bbar(curve: NurbsCurve, section: CrossSection,
                                 quad: QuadratureRule) -> np.ndarray:
-    """Global B-bar patch stiffness: dense membrane block plus standard bending."""
+    """Global B-bar patch stiffness (dense): standard bending plus the dense
+    membrane block."""
     ops = PatchOperators(curve, section, ElementFormulation.GLOBAL_BBAR,
                          quad_points=quad.n_points)
-    k = ops.patch_membrane_matrix()
-    for e in range(curve.n_elements):
-        em = ops.element_matrices(e)
-        sl = slice(em.dof_map[0], em.dof_map[-1] + 1)
-        k[sl, sl] += em.k
-    return k
+    return banded.to_dense(ops.stiffness_band())
 
 
 def _as_control_array(u) -> np.ndarray:

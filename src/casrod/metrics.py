@@ -62,8 +62,13 @@ def displacement_at(solution: RodSolution, xi) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=float)
     bb = nurbs_basis_many(solution.curve, xi.reshape(-1), max_deriv=0)
-    rows = solution.u[bb.first_active[:, None] + np.arange(solution.curve.degree + 1)]
-    return np.einsum("mj,mjc->mc", bb.values, rows).reshape(xi.shape + (2,))
+    return _interpolate(solution, bb).reshape(xi.shape + (2,))
+
+
+def _interpolate(solution: RodSolution, basis) -> np.ndarray:
+    """u^h at the points of a BasisBatch or FrameBatch, shape (m, 2)."""
+    rows = solution.u[basis.first_active[:, None] + np.arange(solution.curve.degree + 1)]
+    return np.einsum("mj,mjc->mc", basis.values, rows)
 
 
 def point_errors(problem: BenchmarkProblem, solution: RodSolution) -> dict[str, float]:
@@ -92,25 +97,25 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
     halves = 0.5 * (bp[1:] - bp[:-1])
     mids = 0.5 * (bp[1:] + bp[:-1])
     xis = (mids[:, None] + halves[:, None] * pts).reshape(-1)
-    jac = frames_at(curve, xis).jac.reshape(curve.n_elements, -1)
-    wds = (jac * halves[:, None] * wts).reshape(-1)
+    fb = frames_at(curve, xis)  # shared by the Jacobian, u^h, N^h and M^h
+    wds = (fb.jac.reshape(curve.n_elements, -1) * halves[:, None] * wts).reshape(-1)
     phis = problem.angle_map(xis)
 
     e_u = e_n = e_m = None
     if problem.exact_u is not None:
-        u_h = displacement_at(solution, xis)
+        u_h = _interpolate(solution, fb)
         u_ex = problem.exact_u(phis)
         num_u = float(np.sum(wds * np.sum((u_h - u_ex) ** 2, axis=1)))
         den_u = float(np.sum(wds * np.sum(u_ex**2, axis=1)))
         e_u = np.sqrt(num_u / den_u)
     if problem.exact_n is not None:
-        n_h = solution.ops.membrane_force_profile(solution.u, xis)
+        n_h = solution.ops.membrane_force_profile(solution.u, xis, fb)
         n_ex = problem.exact_n(phis)
         num_n = float(np.sum(wds * (n_h - n_ex) ** 2))
         den_n = float(np.sum(wds * n_ex**2))
         e_n = np.sqrt(num_n / den_n)
     if problem.exact_m is not None:
-        m_h = solution.ops.bending_moment_profile(solution.u, xis)
+        m_h = solution.ops.bending_moment_profile(solution.u, xis, fb)
         m_ex = problem.exact_m(phis)
         num_m = float(np.sum(wds * (m_h - m_ex) ** 2))
         den_m = float(np.sum(wds * m_ex**2))
@@ -144,9 +149,10 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
     xis = _nudge_off_knots(np.linspace(0.0, 1.0, n_samples),
                            np.asarray(curve.knot_vector.breakpoints))
     s = arc_lengths_at(curve, xis)
-    n_h = solution.ops.membrane_force_profile(solution.u, xis)
-    m_h = solution.ops.bending_moment_profile(solution.u, xis)
-    u_h = displacement_at(solution, xis)
+    fb = frames_at(curve, xis)
+    n_h = solution.ops.membrane_force_profile(solution.u, xis, fb)
+    m_h = solution.ops.bending_moment_profile(solution.u, xis, fb)
+    u_h = _interpolate(solution, fb)
     phi = problem.angle_map(xis)
     missing = np.full(n_samples, np.nan)
     n_ex = missing if problem.exact_n is None else problem.exact_n(phi)

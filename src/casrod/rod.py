@@ -9,7 +9,7 @@ M = EI*kappa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,9 +104,14 @@ class FrameBatch:
     jac: np.ndarray            # (m,)
     dN_ds: np.ndarray          # (m, p+1)
     d2N_ds2: np.ndarray        # (m, p+1)
+    values: np.ndarray         # (m, p+1) basis values
 
     def __len__(self) -> int:
         return len(self.jac)
+
+    def __getitem__(self, index) -> FrameBatch:
+        """The batch of the selected points (an index array or a slice)."""
+        return FrameBatch(*(getattr(self, f.name)[index] for f in fields(self)))
 
     def frame(self, i: int) -> GeometryFrame:
         return GeometryFrame(self.a1[i], self.a2[i], self.da2_ds[i], float(self.jac[i]),
@@ -114,7 +119,8 @@ class FrameBatch:
 
 
 def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
-    """Evaluate the local frames and arc-length basis derivatives at each xi.
+    """Evaluate the local frames, basis values and arc-length basis
+    derivatives at each xi.
 
     The chain rule from the parametric coordinate to arc length gives
     dN/ds = N' / jac and d2N/ds2 = N'' / jac^2 - N' (r' . r'') / jac^4,
@@ -139,7 +145,7 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     rdot = np.einsum("mc,mc->m", r1, r2)
     dn_ds = bb.d1 / jac[:, None]
     d2n_ds2 = bb.d2 / jac[:, None] ** 2 - bb.d1 * (rdot / jac**4)[:, None]
-    return FrameBatch(bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2)
+    return FrameBatch(bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values)
 
 
 def frame_at(curve: NurbsCurve, xi: float) -> GeometryFrame:

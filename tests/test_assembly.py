@@ -1,7 +1,10 @@
 """Tests for quadrature, assembly, loads, constraints, and the solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from casrod import (
     CrossSection,
@@ -9,10 +12,12 @@ from casrod import (
     FixedDof,
     LoadSpec,
     NurbsCurve,
+    PatchOperators,
     TieDof,
     apply_constraints,
     assemble,
     build_arch_half,
+    build_ellipse_quarter,
     build_ring_quarter,
     clamped_end_constraints,
     gauss_rule,
@@ -21,7 +26,13 @@ from casrod import (
     solve_problem,
     symmetry_end_constraints,
 )
-from casrod.assembly import ConstrainedSystem, reaction_forces, solution_backward_error
+from casrod import banded
+from casrod.assembly import (
+    ConstrainedSystem,
+    _band_backward_error,
+    reaction_forces,
+    solution_backward_error,
+)
 from casrod.errors import NonAxisAlignedRotationError, SingularSystemError
 from casrod.splines import greville_abscissae
 
@@ -212,9 +223,9 @@ class TestConstraints:
 
 class TestSolve:
     def test_diagonal_system_direct_quotient(self):
-        con = ConstrainedSystem(k=np.diag([2.0, 4.0]), f=np.array([2.0, 8.0]),
+        con = ConstrainedSystem(ab=np.array([[2.0, 4.0]]), f=np.array([2.0, 8.0]),
                                 free_dofs=np.array([0, 1]), slave_pairs=[],
-                                n_full=2, banded=True)
+                                n_full=2)
         u = solve(con)
         np.testing.assert_allclose(u.u.reshape(-1), [1.0, 2.0], rtol=1e-14)
 
@@ -234,8 +245,13 @@ class TestSolve:
         system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
                           problem.loads)
         con = apply_constraints(system, problem.constraints)
-        u_banded = solve(con, use_banded=True).u
-        u_dense = solve(con, use_banded=False).u
+        u_banded = solve(con).u
+        u_red = scipy.linalg.cho_solve(scipy.linalg.cho_factor(con.k), con.f)
+        u_dense = np.zeros(con.n_full)
+        u_dense[con.free_dofs] = u_red
+        for slave, master in con.slave_pairs:
+            u_dense[slave] = u_dense[master]
+        u_dense = u_dense.reshape(-1, 2)
         np.testing.assert_allclose(u_dense, u_banded,
                                    rtol=1e-12, atol=1e-12 * np.abs(u_banded).max())
 
@@ -280,3 +296,111 @@ class TestReactions:
         # reactions at the constrained dofs balance the total applied load
         np.testing.assert_allclose(total + applied, 0.0,
                                    atol=1e-8 * np.abs(applied).max())
+
+
+def _dense_scatter(ops):
+    """Dense global stiffness from the element blocks, one block at a time."""
+    n = 2 * ops.curve.n_basis
+    k = np.zeros((n, n))
+    for e in range(ops.curve.n_elements):
+        em = ops.element_matrices(e)
+        k[em.dof_map[0]:em.dof_map[-1] + 1, em.dof_map[0]:em.dof_map[-1] + 1] += em.k
+    if ops.formulation is ElementFormulation.GLOBAL_BBAR:
+        k += ops.patch_membrane_matrix()
+    return k
+
+
+def _dense_elimination(k, f, constraints):
+    """Reference elimination on a dense matrix: fold ties, then drop rows/columns."""
+    k, f = k.copy(), f.copy()
+    removed = np.zeros(len(f), dtype=bool)
+    for c in constraints:
+        if isinstance(c, TieDof):
+            slave, master = 2 * c.control_a + c.component, 2 * c.control_b + c.component
+            k[master, :] += k[slave, :]
+            k[:, master] += k[:, slave]
+            f[master] += f[slave]
+            removed[slave] = True
+        else:
+            removed[2 * c.control_index + c.component] = True
+    free = np.flatnonzero(~removed)
+    return k[np.ix_(free, free)], f[free]
+
+
+BAND_PROBLEMS = [lambda: build_ring_quarter(9, 1e6), lambda: build_arch_half(7, 0.01),
+                 lambda: build_ellipse_quarter(6, 0.04)]
+
+
+class TestBandStorage:
+    @pytest.mark.parametrize("form", list(ElementFormulation), ids=lambda f: f.value)
+    def test_assembled_band_equals_dense_scatter(self, form):
+        problem = build_arch_half(7, 0.01)
+        ops = PatchOperators(problem.curve, problem.section, form)
+        system = assemble(problem.curve, problem.section, form, problem.loads, ops=ops)
+        expected = _dense_scatter(ops)
+        n = len(system.f)
+        assert system.half_bandwidth == (n - 1 if form is ElementFormulation.GLOBAL_BBAR else 5)
+        # each entry sums its element blocks in ascending element order, as
+        # the dense scatter does, so the two agree bit for bit
+        np.testing.assert_array_equal(system.k, expected)
+        # the band holds every nonzero: nothing lies outside it
+        offsets = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        assert not np.any(expected[offsets > system.half_bandwidth])
+
+    @pytest.mark.parametrize("make", BAND_PROBLEMS, ids=["ring", "arch", "ellipse"])
+    @pytest.mark.parametrize("form", [ElementFormulation.CAS, ElementFormulation.NURBS_FULL,
+                                      ElementFormulation.GLOBAL_BBAR], ids=lambda f: f.value)
+    def test_constrained_band_equals_dense_elimination(self, make, form):
+        problem = make()
+        system = assemble(problem.curve, problem.section, form, problem.loads)
+        con = apply_constraints(system, problem.constraints)
+        k_ref, f_ref = _dense_elimination(system.k, system.f, problem.constraints)
+        np.testing.assert_array_equal(con.k, k_ref)
+        np.testing.assert_array_equal(con.f, f_ref)
+        assert con.n_dof == len(f_ref)
+
+    def test_far_and_chained_ties_equal_dense_elimination(self):
+        # ties more than two dofs apart and a tie onto an already folded master
+        problem = build_ring_quarter(6, 1e4)
+        system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                          problem.loads)
+        cons = [TieDof(5, 1, 0), TieDof(3, 1, 0), FixedDof(0, 1), FixedDof(7, 0),
+                TieDof(2, 6, 1)]
+        con = apply_constraints(system, cons)
+        k_ref, f_ref = _dense_elimination(system.k, system.f, cons)
+        np.testing.assert_array_equal(con.k, k_ref)
+        np.testing.assert_array_equal(con.f, f_ref)
+        offsets = np.abs(np.subtract.outer(np.arange(len(f_ref)), np.arange(len(f_ref))))
+        assert not np.any(k_ref[offsets > con.half_bandwidth])
+
+    @pytest.mark.parametrize("make", BAND_PROBLEMS, ids=["ring", "arch", "ellipse"])
+    def test_banded_backward_error_equals_dense_oracle(self, make):
+        problem = make()
+        for form in (ElementFormulation.CAS, ElementFormulation.GLOBAL_BBAR):
+            system = assemble(problem.curve, problem.section, form, problem.loads)
+            con = apply_constraints(system, problem.constraints)
+            u_red = solve(con).u.reshape(-1)[con.free_dofs]
+            # at the computed solution both residuals are rounding noise, so
+            # they agree to n*eps; away from it they agree to many digits
+            rng = np.random.default_rng(1)
+            for u in (u_red, u_red * (1.0 + 1e-6 * rng.standard_normal(len(u_red)))):
+                dense = solution_backward_error(con.k, u, con.f)
+                band = _band_backward_error(con.ab, u, con.f)
+                assert band == pytest.approx(dense, rel=1e-9,
+                                             abs=len(u) * np.finfo(float).eps)
+            k_norm = np.linalg.norm(con.k, 1)
+            np.testing.assert_allclose(banded.matvec(con.ab, u_red), con.k @ u_red, rtol=0,
+                                       atol=len(u_red) * np.finfo(float).eps * k_norm
+                                       * np.abs(u_red).max())
+            assert banded.norm1(con.ab) == pytest.approx(k_norm, rel=1e-14)
+
+    def test_solve_allocates_no_dense_matrix(self):
+        # one dense n x n matrix at 2048 arch elements is 128 MiB
+        problem = build_arch_half(2048, 0.01)
+        tracemalloc.start()
+        try:
+            solve_problem(problem, ElementFormulation.CAS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

@@ -166,3 +166,46 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "solve_problem", boom)
         with pytest.raises(SingularSystemError, match="ring at 2 elements"):
             cli.convergence_records(ring_config(refinements=0))
+
+    def test_study_failure_keeps_foreign_error(self, monkeypatch):
+        # an error type whose constructor takes two arguments cannot be
+        # rebuilt from one message; the study error chains it instead
+        from casrod import cli
+
+        class TwoArgError(ValueError):
+            def __init__(self, code, detail):
+                super().__init__(f"{code}: {detail}")
+                self.code = code
+
+        def boom(problem, formulation, quad_points=None):
+            raise TwoArgError(7, "bad mesh")
+
+        monkeypatch.setattr(cli, "solve_problem", boom)
+        with pytest.raises(TwoArgError, match="ring at 2 elements.*7: bad mesh") as info:
+            cli.convergence_records(ring_config(refinements=0))
+        err = info.value
+        assert isinstance(err, cli.StudyError)
+        assert isinstance(err.__cause__, TwoArgError) and err.__cause__.code == 7
+        assert (err.problem, err.n_elements, err.slenderness) == ("ring", 2, 1e4)
+        assert main(["converge", "--problem", "ring", "--formulation", "cas",
+                     "--slenderness", "1e4", "--refinements", "0"]) == 1
+
+    def test_unsubclassable_error_mapped_by_original_type(self, monkeypatch, capsys):
+        from casrod import cli
+        from casrod.errors import SingularSystemError
+
+        class SealedError(SingularSystemError):
+            def __init_subclass__(cls, **kwargs):
+                raise TypeError("sealed")
+
+        def boom(problem, formulation, quad_points=None):
+            raise SealedError("factorization failed")
+
+        monkeypatch.setattr(cli, "solve_problem", boom)
+        with pytest.raises(cli.StudyError, match="ring at 2 elements") as info:
+            cli.convergence_records(ring_config(refinements=0))
+        assert type(info.value) is cli.StudyError
+        assert isinstance(info.value.__cause__, SealedError)
+        assert main(["converge", "--problem", "ring", "--formulation", "cas",
+                     "--slenderness", "1e4", "--refinements", "0"]) == 2
+        assert "numerical failure" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from casrod import (
     ElementFormulation,
+    PatchOperators,
     assemble,
     build_arch_half,
     build_ellipse_quarter,
@@ -20,7 +21,7 @@ from casrod import (
 )
 from casrod.errors import InsufficientDataError, MissingExactFieldError
 from casrod.metrics import FIELD_COLUMNS
-from casrod.rod import ROT90
+from casrod.rod import ROT90, frames_at
 from casrod.splines import NurbsCurve, element_arc_lengths
 
 
@@ -170,6 +171,43 @@ class TestBatchedCallbacks:
         calls.clear()
         assemble(problem.curve, problem.section, ElementFormulation.CAS, counted_problem.loads)
         assert calls == {"distributed": 1}
+
+
+    @pytest.mark.parametrize("form", [ElementFormulation.NURBS_FULL, ElementFormulation.CAS,
+                                      ElementFormulation.LOCAL_ANS], ids=lambda f: f.value)
+    def test_one_frame_batch_per_evaluation(self, monkeypatch, form):
+        # the error quadrature, the field samples and the patch operators
+        # each evaluate their frames in a single frames_at call
+        import casrod.formulations
+        import casrod.metrics
+
+        problem = build_arch_half(8, 0.01)
+        sol = solve_problem(problem, form)
+        calls = []
+
+        def counted(curve, xis):
+            calls.append(len(np.atleast_1d(xis)))
+            return frames_at(curve, xis)
+
+        monkeypatch.setattr(casrod.metrics, "frames_at", counted)
+        monkeypatch.setattr(casrod.formulations, "frames_at", counted)
+        l2_errors(problem, sol)
+        assert calls == [80]
+        calls.clear()
+        sample_fields(problem, sol, 101)
+        assert calls == [101]
+        calls.clear()
+        PatchOperators(problem.curve, problem.section, form)
+        assert len(calls) == 1
+        # sharing the batch leaves the recovered fields bit for bit unchanged
+        xis = np.linspace(0.01, 0.99, 37)
+        fb = frames_at(problem.curve, xis)
+        np.testing.assert_array_equal(sol.ops.membrane_force_profile(sol.u, xis, fb),
+                                      sol.ops.membrane_force_profile(sol.u, xis))
+        np.testing.assert_array_equal(sol.ops.bending_moment_profile(sol.u, xis, fb),
+                                      sol.ops.bending_moment_profile(sol.u, xis))
+        np.testing.assert_array_equal(casrod.metrics._interpolate(sol, fb),
+                                      displacement_at(sol, xis))
 
 
 class TestSampleFields:
