@@ -22,11 +22,12 @@ import numpy as np
 import scipy.linalg
 
 from . import banded
-from .errors import NonAxisAlignedRotationError, SingularSystemError
+from .errors import (DegenerateParametrizationError, NonAxisAlignedRotationError,
+                     SingularSystemError)
 from .formulations import ElementFormulation, PatchOperators
 from .quadrature import QuadratureRule, gauss_rule  # noqa: F401  (re-exported)
-from .rod import ControlDisplacements, CrossSection, frame_at
-from .splines import NurbsCurve, arc_lengths_at
+from .rod import ControlDisplacements, CrossSection
+from .splines import NurbsCurve
 
 __all__ = [
     "QuadratureRule",
@@ -55,11 +56,12 @@ class LoadSpec:
     """Point loads at the rod ends plus an optional distributed load.
 
     point_loads: list of ("start" | "end", force 2-vector).
-    distributed: callable s -> force density per arc length, defined on
-        [0, L]; None when absent. `assemble` calls it once, with the arc
-        lengths of all quadrature points as an array of shape (m,), and
-        broadcasts the result to (m, 2): return one 2-vector per point, or a
-        single 2-vector for a constant load.
+    distributed: callable x -> force density per arc length at the curve
+        points x; None when absent. `assemble` calls it once, with the
+        quadrature-point positions, shape (n_el, n_q, 2) (the points of
+        `PatchOperators.xi_q`). It returns one 2-vector per point, that
+        shape, or one 2-vector, shape (2,), for a constant load; any other
+        shape, such as one scalar per point, is a ValueError.
     """
 
     point_loads: list[tuple[str, np.ndarray]] = field(default_factory=list)
@@ -151,8 +153,8 @@ def assemble(curve: NurbsCurve, section: CrossSection,
     """Assemble the global stiffness band and consistent load vector.
 
     The stiffness comes from `PatchOperators.stiffness_band`. The distributed
-    load is called once, on the arc lengths of all quadrature points (see
-    `LoadSpec`).
+    load is called once, on the quadrature-point positions (see `LoadSpec`),
+    which come from the basis values of `ops`: assembly evaluates no geometry.
     """
     if ops is None:
         ops = PatchOperators(curve, section, formulation, quad_points)
@@ -166,9 +168,12 @@ def assemble(curve: NurbsCurve, section: CrossSection,
 
     if loads.distributed is not None:
         n_el, nq = ops.xi_q.shape
-        s_q = arc_lengths_at(curve, ops.xi_q.reshape(-1))
-        load = np.broadcast_to(np.asarray(loads.distributed(s_q), dtype=float),
-                               (len(s_q), 2)).reshape(n_el, nq, 2)
+        net = curve.control_points[np.arange(n_el)[:, None] + np.arange(curve.degree + 1)]
+        x_q = np.einsum("eqj,ejc->eqc", ops.values, net)
+        load = np.asarray(loads.distributed(x_q), dtype=float)
+        if load.shape not in ((2,), x_q.shape):
+            raise ValueError(f"distributed load has shape {load.shape}, not (2,) or {x_q.shape}")
+        load = np.broadcast_to(load, x_q.shape)
         fe = np.zeros((n_el, curve.degree + 1, 2))
         for q in range(nq):  # ascending q, as in the element integral
             fe += (ops.wds[:, q, None] * ops.values[:, q])[:, :, None] * load[:, q, None, :]
@@ -179,29 +184,29 @@ def assemble(curve: NurbsCurve, section: CrossSection,
     return GlobalSystem(ab=ops.stiffness_band(), f=f)
 
 
-def _rotation_component(curve: NurbsCurve, end: str) -> int:
-    """Cartesian component of the normal a2 at an end, required axis-aligned."""
-    fr = frame_at(curve, 0.0 if end == "start" else 1.0)
-    comp = int(np.argmax(np.abs(fr.a2)))
-    if abs(fr.a2[1 - comp]) > _AXIS_ALIGN_TOL:
-        raise NonAxisAlignedRotationError(
-            f"normal at {end} end is not axis-aligned: a2={fr.a2}")
-    return comp
+def _end_controls(curve: NurbsCurve, end: str) -> tuple[int, int, int]:
+    """(end control point, its neighbor, component of the axis-aligned end normal a2).
 
-
-def _end_control_indices(curve: NurbsCurve, end: str) -> tuple[int, int]:
-    """(end control point, its interior neighbor) for the given end."""
-    if end == "start":
-        return 0, 1
-    return curve.n_basis - 1, curve.n_basis - 2
+    With an open knot vector and positive weights the end tangent a1 is parallel
+    to the end leg of the control net, so |a2| = (|a1_y|, |a1_x|) needs no curve
+    evaluation."""
+    b_end, b_adj = (0, 1) if end == "start" else (curve.n_basis - 1, curve.n_basis - 2)
+    leg = curve.control_points[b_adj] - curve.control_points[b_end]
+    length = np.hypot(leg[0], leg[1])
+    if length == 0.0:
+        raise DegenerateParametrizationError(f"zero-length control leg at the {end} end")
+    a2 = np.abs(leg[::-1]) / length
+    comp = int(np.argmax(a2))
+    if a2[1 - comp] > _AXIS_ALIGN_TOL:
+        raise NonAxisAlignedRotationError(f"normal at {end} end is not axis-aligned: |a2|={a2}")
+    return b_end, b_adj, comp
 
 
 def clamped_end_constraints(curve: NurbsCurve, end: str) -> list:
     """Clamped end: both components of the end control variable are zero plus
     the zero-rotation condition, which then reduces to zeroing the a2-aligned
     component of the adjacent control variable."""
-    b_end, b_adj = _end_control_indices(curve, end)
-    comp = _rotation_component(curve, end)
+    b_end, b_adj, comp = _end_controls(curve, end)
     return [FixedDof(b_end, 0), FixedDof(b_end, 1), FixedDof(b_adj, comp)]
 
 
@@ -210,10 +215,8 @@ def symmetry_end_constraints(curve: NurbsCurve, end: str) -> list:
     line is aligned with a2. Displacement perpendicular to the line (the
     a1-aligned component) is zero; zero rotation ties the a2-aligned component
     of the end control variable to its neighbor (the end value stays free)."""
-    b_end, b_adj = _end_control_indices(curve, end)
-    comp_tie = _rotation_component(curve, end)
-    comp_fix = 1 - comp_tie
-    return [FixedDof(b_end, comp_fix), TieDof(b_adj, b_end, comp_tie)]
+    b_end, b_adj, comp_tie = _end_controls(curve, end)
+    return [FixedDof(b_end, 1 - comp_tie), TieDof(b_adj, b_end, comp_tie)]
 
 
 def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSystem:

@@ -10,8 +10,8 @@ including signs) to be reproduced by the discretization:
   along the x-axis. phi is the angle measured from B.
 * Clamped-clamped semicircular arch, half model: curve runs from the clamped
   base (-R, 0) to the crown (0, R); phi is measured from the base, and the
-  distributed load (0, -q sin phi) is the vertical load q per unit horizontal
-  length converted to arc-length density.
+  distributed load (0, -q y/R) = (0, -q sin phi) at the point (x, y) is the
+  vertical load q per unit horizontal length converted to arc-length density.
 * Clamped elliptical arch: quarter ellipse from the clamped end (-a, 0) to
   the free end (0, b), vertical point load at the free end. No closed-form
   solution exists; free-end reference displacements come from a fine-mesh
@@ -21,8 +21,8 @@ including signs) to be reproduced by the discretization:
 Every mesh is built in one closed-form step from the single rational
 quadratic Bezier segment of its conic (see `_refine_to`), so the geometry
 stays the exact circle or ellipse. The problem callables (`angle_map`, the
-`exact_*` fields and the arch's distributed load) take and return arrays;
-see `BenchmarkProblem`.
+`exact_*` fields and the arch's distributed load, which takes curve points)
+take and return arrays; see `BenchmarkProblem` and `LoadSpec`.
 """
 
 from __future__ import annotations
@@ -261,9 +261,9 @@ def build_arch_half(n_elements: int, t: float) -> BenchmarkProblem:
     curve = _refine_to(base, n_elements)
     section = CrossSection(ea=params["ea"], ei=params["ei"])
 
-    def distributed(s):
-        phi = np.asarray(s, dtype=float) / radius
-        return np.stack([np.zeros_like(phi), -q * np.sin(phi)], axis=-1)
+    def distributed(x):
+        y = np.asarray(x, dtype=float)[..., 1]
+        return np.stack([np.zeros_like(y), -q * y / radius], axis=-1)
 
     loads = LoadSpec(distributed=distributed)
     constraints = (clamped_end_constraints(curve, "start")

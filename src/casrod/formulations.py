@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg import solveh_banded
 
 from . import banded
@@ -264,11 +264,13 @@ class PatchOperators:
             g = np.zeros((n_el + 1, n_dof))
             main = np.zeros(n_el + 1)
             upper = np.zeros(n_el + 1)
-            for e in range(n_el):
-                g[e:e + 2, 2 * e:2 * e + gel.shape[2]] += gel[e]
-                main[e] += mel[e, 0, 0]
-                main[e + 1] += mel[e, 1, 1]
-                upper[e + 1] += mel[e, 0, 1]
+            # g[e + l, 2e:] += gel[e, l]: at most two terms per entry, exact in any order
+            step = (g.strides[0] + 2 * g.strides[1], g.strides[1])
+            for l in (0, 1):
+                as_strided(g[l:], gel[:, l].shape, step)[:] += gel[:, l]
+            main[:-1] += mel[:, 0, 0]
+            main[1:] += mel[:, 1, 1]
+            upper[1:] += mel[:, 0, 1]
             ab = np.vstack([upper, main])  # upper banded form for solveh_banded
             self._patch_projection = (ab, g)
         return self._patch_projection

@@ -84,11 +84,6 @@ class KnotVector:
         """
         return int(_find_spans(self, np.array([xi], dtype=float))[0])
 
-    def element_span(self, element: int) -> tuple[float, float]:
-        """Parametric interval of the given element (0-based)."""
-        bp = self.breakpoints
-        return float(bp[element]), float(bp[element + 1])
-
 
 @dataclass(frozen=True)
 class NurbsCurve:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import casrod.splines
 from casrod import KnotVector, NurbsCurve, make_open_uniform_knot_vector
 
 CONIC_W = np.sqrt(2.0) / 2.0
@@ -37,3 +38,15 @@ def straight_rod(n_elements: int, length: float = 1.0) -> NurbsCurve:
 @pytest.fixture
 def straight_rod_4():
     return straight_rod(4)
+
+
+@pytest.fixture
+def basis_calls(monkeypatch):
+    """List that grows by one per basis evaluation: every one (nurbs_basis_many,
+    frames_at, arc_lengths_at, evaluate_geometry) goes through
+    splines.bspline_basis_many."""
+    calls = []
+    original = casrod.splines.bspline_basis_many
+    monkeypatch.setattr(casrod.splines, "bspline_basis_many",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls

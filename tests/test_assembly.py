@@ -26,14 +26,19 @@ from casrod import (
     solve_problem,
     symmetry_end_constraints,
 )
-from casrod import banded
+from casrod import banded, evaluate_geometry, frame_at
 from casrod.assembly import (
     ConstrainedSystem,
     _band_backward_error,
+    _end_controls,
     reaction_forces,
     solution_backward_error,
 )
-from casrod.errors import NonAxisAlignedRotationError, SingularSystemError
+from casrod.errors import (
+    DegenerateParametrizationError,
+    NonAxisAlignedRotationError,
+    SingularSystemError,
+)
 from casrod.splines import greville_abscissae
 
 from conftest import straight_rod
@@ -90,6 +95,42 @@ class TestAssemble:
         system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
                           problem.loads)
         assert system.f[1::2].sum() == pytest.approx(-q * 10.0, rel=1e-9)
+
+    @pytest.mark.parametrize("result", [lambda x: 1.0, lambda x: np.array([5.0]),
+                                        lambda x: np.ones(x.shape[:-1]),
+                                        lambda x: x.reshape(-1, 2)],
+                             ids=["scalar", "shape-1", "scalar-per-point", "flat"])
+    def test_distributed_load_shape_rejected(self, result):
+        # one element with the 2-point rule has m = 2 points: a scalar per
+        # point laid out flat would have the shape (2,) of a constant load
+        rod = straight_rod(1)
+        with pytest.raises(ValueError, match="distributed load has shape"):
+            assemble(rod, CrossSection(1.0, 1.0), ElementFormulation.NURBS_REDUCED,
+                     LoadSpec(distributed=result))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_distributed_load_gets_quadrature_positions(self, n):
+        problem = build_arch_half(n, 0.01)
+        ops = PatchOperators(problem.curve, problem.section, ElementFormulation.CAS)
+        seen = []
+
+        def load(x):
+            seen.append(x)
+            return problem.loads.distributed(x)
+
+        assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                 LoadSpec(distributed=load), ops=ops)
+        expected = evaluate_geometry(problem.curve, ops.xi_q)[0]
+        assert len(seen) == 1 and seen[0].shape == expected.shape
+        np.testing.assert_allclose(seen[0], expected, rtol=0, atol=1e-14 * 10.0)  # R = 10
+
+    def test_assemble_evaluates_no_geometry(self, basis_calls):
+        problem = build_arch_half(16, 0.01)
+        ops = PatchOperators(problem.curve, problem.section, ElementFormulation.CAS)
+        basis_calls.clear()
+        assemble(problem.curve, problem.section, ElementFormulation.CAS, problem.loads,
+                 ops=ops)
+        assert basis_calls == []
 
     def test_point_load_end_selector(self):
         rod = straight_rod(2)
@@ -211,6 +252,28 @@ class TestConstraints:
                             rod.weights)
         with pytest.raises(NonAxisAlignedRotationError):
             clamped_end_constraints(tilted, "start")
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("make", [lambda n: build_ring_quarter(n, 1e6),
+                                      lambda n: build_arch_half(n, 0.01),
+                                      lambda n: build_ellipse_quarter(n, 0.04)],
+                             ids=["ring", "arch", "ellipse"])
+    def test_end_normal_from_control_leg_matches_frame(self, make, n):
+        curve = make(n).curve
+        for end, xi in (("start", 0.0), ("end", 1.0)):
+            a2 = frame_at(curve, xi).a2
+            assert _end_controls(curve, end)[2] == int(np.argmax(np.abs(a2)))
+
+    def test_zero_length_end_leg_raises(self):
+        rod = straight_rod(3)
+        for end, (i, j) in (("start", (0, 1)), ("end", (-1, -2))):
+            pts = rod.control_points.copy()
+            pts[i] = pts[j]
+            curve = NurbsCurve(rod.knot_vector, pts, rod.weights)
+            with pytest.raises(DegenerateParametrizationError):
+                clamped_end_constraints(curve, end)
+            with pytest.raises(DegenerateParametrizationError):
+                frame_at(curve, 0.0 if end == "start" else 1.0)
 
     def test_tie_constraint_bookkeeping(self):
         rod = straight_rod(2)
@@ -404,3 +467,16 @@ class TestBandStorage:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_solve_peak_memory_below_8_mib(self):
+        # the band, the patch operators and the load vector at 2048 arch
+        # elements take a few MiB; an arc-length quadrature per load point
+        # took another 13.6
+        problem = build_arch_half(2048, 0.01)
+        tracemalloc.start()
+        try:
+            solve_problem(problem, ElementFormulation.CAS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

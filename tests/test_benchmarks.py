@@ -230,6 +230,16 @@ class TestExactFields:
         assert set(fields) == {"N", "M"}
 
 
+class TestProblemSetup:
+    def test_builds_evaluate_no_geometry(self, basis_calls):
+        # the end constraints read the end legs of the control net
+        for n in (1, 2, 7, 64):
+            build_ring_quarter(n, 1e6)
+            build_arch_half(n, 0.01)
+            build_ellipse_quarter(n, 0.04)
+        assert basis_calls == []
+
+
 class TestRefinement:
     @pytest.mark.parametrize("build", [lambda: build_ring_quarter(1, 1e6),
                                        lambda: build_arch_half(1, 0.01),

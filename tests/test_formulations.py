@@ -239,6 +239,28 @@ class TestGlobalBbar:
         k = ops.patch_membrane_matrix()
         assert abs(k[0, -1]) > 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_projection_equals_element_loop(self, n):
+        # every entry sums at most two element terms, and a two-term sum does
+        # not depend on the order, so the slice-adds equal this loop bit for bit
+        problem = build_arch_half(n, 0.01)
+        ops = PatchOperators(problem.curve, problem.section,
+                             ElementFormulation.GLOBAL_BBAR)
+        lvals = _linear_pair(ops.quad.points, 1.0)
+        gel = np.einsum("eq,ql,eqi->eli", ops.wds, lvals, ops.mrows)
+        mel = np.einsum("eq,ql,qm->elm", ops.wds, lvals, lvals)
+        g = np.zeros((n + 1, 2 * ops.curve.n_basis))
+        main = np.zeros(n + 1)
+        upper = np.zeros(n + 1)
+        for e in range(n):
+            g[e:e + 2, 2 * e:2 * e + gel.shape[2]] += gel[e]
+            main[e] += mel[e, 0, 0]
+            main[e + 1] += mel[e, 1, 1]
+            upper[e + 1] += mel[e, 0, 1]
+        ab, g_ops = ops._global_projection()
+        assert g_ops.tobytes() == g.tobytes()
+        assert ab.tobytes() == np.vstack([upper, main]).tobytes()
+
     def test_matches_cas_deflections_on_fine_mesh(self):
         problem = build_ring_quarter(64, 1e6)
         s_gb = solve_problem(problem, ElementFormulation.GLOBAL_BBAR)
