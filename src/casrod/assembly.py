@@ -224,12 +224,13 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
 
     Works on the band in O(n * hb). Each tie widens the working band by the
     distance between its dofs (2 for the end ties); the reduced band is then
-    trimmed to its nonzero half-width.
+    trimmed to its nonzero half-width. Chained ties fold each slave into the
+    end of its chain; a self-tie, a slave tied twice or a cycle is a ValueError.
     """
     n = len(system.f)
     f = system.f.copy()
     removed = np.zeros(n, dtype=bool)
-    slave_pairs: list[tuple[int, int]] = []
+    masters: dict[int, int] = {}
 
     for c in constraints:
         if isinstance(c, TieDof):
@@ -237,15 +238,19 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
             master = 2 * c.control_b + c.component
             if not (0 <= slave < n and 0 <= master < n):
                 raise ValueError(f"tie constraint out of range: {c}")
-            slave_pairs.append((slave, master))
+            if slave == master:
+                raise ValueError(f"tie constraint ties a dof to itself: {c}")
+            if slave in masters:
+                raise ValueError(f"slave dof of {c} is already tied to dof {masters[slave]}")
+            masters[slave] = master
+    slave_pairs = [(slave, _chain_end(masters, slave)) for slave in masters]
 
-    slaves = {slave for slave, _ in slave_pairs}
     for c in constraints:
         if isinstance(c, FixedDof):
             dof = 2 * c.control_index + c.component
             if not 0 <= dof < n:
                 raise ValueError(f"fixed dof out of range: {c}")
-            if dof in slaves:
+            if dof in masters:
                 raise ValueError(f"dof of {c} is already tied; fix the master instead")
             removed[dof] = True
         elif not isinstance(c, TieDof):
@@ -259,12 +264,20 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
         f[master] += f[slave]
         removed[slave] = True
 
-    for dof in np.flatnonzero(removed)[::-1]:
-        ab = _drop(ab, dof)
+    ab = _drop(ab, removed)
     nonzero = np.flatnonzero(ab.any(axis=1))  # trim to the nonzero half-width
     free = np.flatnonzero(~removed)
     return ConstrainedSystem(ab=ab[nonzero[0] if len(nonzero) else hb:], f=f[free],
                              free_dofs=free, slave_pairs=slave_pairs, n_full=n)
+
+
+def _chain_end(masters: dict[int, int], dof: int) -> int:
+    """The dof at the end of the tie chain that starts at `dof`."""
+    for _ in range(len(masters) + 1):  # a chain has at most len(masters) links
+        if dof not in masters:
+            return dof
+        dof = masters[dof]
+    raise ValueError(f"tie constraints form a cycle through dof {dof}")
 
 
 def _row_views(ab: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -294,22 +307,30 @@ def _fold(ab: np.ndarray, slave: int, master: int) -> None:
     right[:] = row[w:w + len(right)]
 
 
-def _drop(ab: np.ndarray, q: int) -> np.ndarray:
-    """Band of K with row and column q deleted.
+def _drop(ab: np.ndarray, removed: np.ndarray) -> np.ndarray:
+    """Band of K with the rows and columns of the `removed` dofs deleted.
 
-    Entries K[i, j] with i < q < j lose one from their offset, so they move
-    one band row down in their column; the deleted K[q, j] and the entries
-    that leave the top of the band become zero.
+    One column gather keeps each entry at its offset, which is wrong only
+    where removed dofs lie between i and j of K[i, j]. That happens in the
+    columns within hb after a removed dof, at offsets from g (the distance to
+    the nearest removed dof below) to min(hb, j); those are re-read from their
+    source or zeroed. Removed dofs sit at the rod ends, so this stays small.
     """
     hb, n = ab.shape[0] - 1, ab.shape[1]
-    out = np.concatenate([ab[:, :q], ab[:, q + 1:]], axis=1)
-    j = np.arange(q + 1, min(q + hb, n - 1) + 1)
-    out[np.maximum(hb - j, 0), j - 1] = 0.0
-    i0 = max(q - hb, 0)
-    ii, jj = np.nonzero(j - np.arange(i0, q)[:, None] <= hb)
-    j = j[jj]
-    rows = hb - (j - i0 - ii)  # band rows of the K[i, j], i = i0 + ii
-    out[rows + 1, j - 1] = ab[rows, j]
+    free = np.flatnonzero(~removed)
+    edges = [-1, *np.flatnonzero(removed).tolist(), n]
+    out = np.concatenate([ab[:, a + 1:b] for a, b in zip(edges, edges[1:])], axis=1)
+    dofs = np.arange(n)
+    g = dofs - np.maximum.accumulate(np.where(removed, dofs, -n - hb))
+    near = np.flatnonzero((g <= hb) & ~removed)  # kept dofs within hb after a removed dof
+    counts = np.minimum(hb, near) - g[near] + 1  # offsets above near are zero already
+    at = np.repeat(np.arange(len(near)), counts)
+    d = np.arange(len(at)) + (g[near] - np.cumsum(counts) + counts)[at]
+    col = near[at]
+    j = np.searchsorted(free, near)[at]  # new column index
+    src = col - free[np.maximum(j - d, 0)]  # the offset of the entry before the drop
+    valid = (j >= d) & (src <= hb)
+    out[hb - d, j] = np.where(valid, ab[hb - np.minimum(src, hb), col], 0.0)
     return out
 
 

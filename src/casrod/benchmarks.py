@@ -20,9 +20,9 @@ including signs) to be reproduced by the discretization:
 
 Every mesh is built in one closed-form step from the single rational
 quadratic Bezier segment of its conic (see `_refine_to`), so the geometry
-stays the exact circle or ellipse. The problem callables (`angle_map`, the
-`exact_*` fields and the arch's distributed load, which takes curve points)
-take and return arrays; see `BenchmarkProblem` and `LoadSpec`.
+stays the exact circle or ellipse. The problem callables are array callables:
+`angle_map` and the arch's distributed load take curve positions x, so no
+problem evaluates its curve; see `BenchmarkProblem` and `LoadSpec`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .assembly import (
 from .errors import MissingExactFieldError, OutOfDomainError
 from .formulations import ElementFormulation, PatchOperators
 from .rod import CrossSection
-from .splines import KnotVector, NurbsCurve, evaluate_geometry
+from .splines import KnotVector, NurbsCurve
 
 __all__ = [
     "BenchmarkProblem",
@@ -102,9 +102,9 @@ def standard_slenderness_cases(problem: str) -> tuple[SlendernessCase, ...]:
 class BenchmarkProblem:
     """One benchmark: geometry, section, loads, constraints, exact solution.
 
-    `angle_map` and the `exact_*` fields follow numpy broadcasting: a float
-    in gives a scalar out, an array of shape S gives an array of shape S
-    (shape S + (2,) for the displacement vector of `exact_u`). The metrics
+    `angle_map` maps curve positions x, shape S + (2,), to phi, shape S. The
+    `exact_*` fields broadcast over phi: a float gives a scalar, shape S gives
+    shape S (S + (2,) for the displacement vector of `exact_u`). The metrics
     call each of them once per evaluation, with all points in one array.
     """
 
@@ -113,7 +113,7 @@ class BenchmarkProblem:
     section: CrossSection
     loads: LoadSpec
     constraints: list
-    angle_map: Callable[[np.ndarray], np.ndarray]  # xi -> phi
+    angle_map: Callable[[np.ndarray], np.ndarray]  # position x -> phi
     angle_domain: tuple[float, float]
     slenderness: float                              # reporting value (EA or t)
     exact_u: Callable[[np.ndarray], np.ndarray] | None = None  # phi -> (ux, uy)
@@ -173,9 +173,8 @@ def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
     u_xa = -scale * ((math.pi**2 - 8) / (8 * math.pi) + (math.pi / 8) * t_over_r_sq)
     u_yb = -scale * ((4 - math.pi) / (4 * math.pi) - 0.25 * t_over_r_sq)
 
-    def angle_map(xi):
-        pt = evaluate_geometry(curve, xi)[0]
-        return np.arctan2(pt[..., 0], -pt[..., 1])
+    def angle_map(x):
+        return np.arctan2(x[..., 0], -x[..., 1])
 
     def exact_n(phi):
         return -(p_load / 2) * np.cos(phi)
@@ -269,9 +268,8 @@ def build_arch_half(n_elements: int, t: float) -> BenchmarkProblem:
     constraints = (clamped_end_constraints(curve, "start")
                    + symmetry_end_constraints(curve, "end"))
 
-    def angle_map(xi):
-        pt = evaluate_geometry(curve, xi)[0]
-        return np.arctan2(pt[..., 1], -pt[..., 0])
+    def angle_map(x):
+        return np.arctan2(x[..., 1], -x[..., 0])
 
     crown_uy = float(exact_u(math.pi / 2)[1])
     return BenchmarkProblem(
@@ -312,9 +310,8 @@ def build_ellipse_quarter(n_elements: int, t: float,
     loads = LoadSpec(point_loads=[("end", np.array([0.0, -p_load]))])
     constraints = clamped_end_constraints(curve, "start")
 
-    def angle_map(xi):
-        pt = evaluate_geometry(curve, xi)[0]
-        return np.arctan2(pt[..., 1] / b_ax, -pt[..., 0] / a_ax)
+    def angle_map(x):
+        return np.arctan2(x[..., 1] / b_ax, -x[..., 0] / a_ax)
 
     point_checks = []
     if with_reference_checks:

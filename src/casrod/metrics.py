@@ -16,7 +16,8 @@ from .assembly import RodSolution
 from .benchmarks import BenchmarkProblem
 from .errors import InsufficientDataError, MissingExactFieldError
 from .rod import frames_at
-from .splines import arc_lengths_at, nurbs_basis_many
+from .quadrature import _legendre
+from .splines import nurbs_basis_many
 
 __all__ = [
     "ErrorReport",
@@ -32,6 +33,7 @@ __all__ = [
 FIELD_COLUMNS = ("s", "phi", "u_x", "u_y", "N", "M", "N_exact", "M_exact")
 
 _KNOT_OFFSET = 1e-9
+_ARC_RULE_POINTS = 10  # Gauss points per arc-length segment
 
 
 @dataclass
@@ -62,19 +64,29 @@ def displacement_at(solution: RodSolution, xi) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=float)
     bb = nurbs_basis_many(solution.curve, xi.reshape(-1), max_deriv=0)
-    return _interpolate(solution, bb).reshape(xi.shape + (2,))
+    return _interpolate(solution.u, bb).reshape(xi.shape + (2,))
 
 
-def _interpolate(solution: RodSolution, basis) -> np.ndarray:
-    """u^h at the points of a BasisBatch or FrameBatch, shape (m, 2)."""
-    rows = solution.u[basis.first_active[:, None] + np.arange(solution.curve.degree + 1)]
+def _interpolate(control: np.ndarray, basis) -> np.ndarray:
+    """sum_j R_j control[j] at the points of a BasisBatch or FrameBatch, shape (m, 2):
+    u^h for the control displacements, the curve point r for the control net."""
+    rows = control[basis.first_active[:, None] + np.arange(basis.values.shape[1])]
     return np.einsum("mj,mjc->mc", basis.values, rows)
+
+
+def _gauss_points(a: np.ndarray, b: np.ndarray, nodes: np.ndarray):
+    """The rule `nodes` mapped onto each [a_i, b_i], flat, and the half-widths."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b)[:, None] + half[:, None] * nodes).reshape(-1), half
 
 
 def point_errors(problem: BenchmarkProblem, solution: RodSolution) -> dict[str, float]:
     """Relative displacement errors at the problem's reference points."""
     checks = problem.point_checks
-    u = displacement_at(solution, [c.xi for c in checks])
+    return _point_errors(checks, displacement_at(solution, [c.xi for c in checks]))
+
+
+def _point_errors(checks, u: np.ndarray) -> dict[str, float]:  # u: one 2-vector per check
     directions = np.array([c.direction for c in checks], dtype=float).reshape(-1, 2)
     values = np.einsum("mc,mc->m", u, directions)
     return {c.label: abs(float(v) - c.value) / abs(c.value) for c, v in zip(checks, values)}
@@ -86,42 +98,39 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
 
     Uses a dedicated error-integration rule (default 10 points per element,
     saturation-verified); raises MissingExactFieldError when the problem has
-    no exact fields at all.
+    no exact fields at all. One frame batch, the error points followed by
+    the point-check abscissae, gives the Jacobians, the positions for
+    `angle_map`, u^h, N^h, M^h and the point errors.
     """
     if not problem.has_exact_fields:
         raise MissingExactFieldError(
             f"problem {problem.name!r} defines no exact fields")
     curve = solution.curve
-    pts, wts = np.polynomial.legendre.leggauss(quad_pts_per_element)
+    rule = _legendre(quad_pts_per_element)
     bp = np.asarray(curve.knot_vector.breakpoints, dtype=float)
-    halves = 0.5 * (bp[1:] - bp[:-1])
-    mids = 0.5 * (bp[1:] + bp[:-1])
-    xis = (mids[:, None] + halves[:, None] * pts).reshape(-1)
-    fb = frames_at(curve, xis)  # shared by the Jacobian, u^h, N^h and M^h
-    wds = (fb.jac.reshape(curve.n_elements, -1) * halves[:, None] * wts).reshape(-1)
-    phis = problem.angle_map(xis)
+    xis, halves = _gauss_points(bp[:-1], bp[1:], rule.points)
+    checks, m = problem.point_checks, len(xis)
+    batch = frames_at(curve, np.concatenate([xis, [c.xi for c in checks]]))
+    fb = batch[:m]
+    wds = (fb.jac.reshape(curve.n_elements, -1) * halves[:, None] * rule.weights).reshape(-1)
+    phis = problem.angle_map(_interpolate(curve.control_points, fb))
+
+    def relative(approx, exact):  # of a field with one scalar or one 2-vector per point
+        num, den = (float(np.sum(wds * (v**2).reshape(m, -1).sum(axis=1)))
+                    for v in (approx - exact, exact))
+        return np.sqrt(num / den)
 
     e_u = e_n = e_m = None
     if problem.exact_u is not None:
-        u_h = _interpolate(solution, fb)
-        u_ex = problem.exact_u(phis)
-        num_u = float(np.sum(wds * np.sum((u_h - u_ex) ** 2, axis=1)))
-        den_u = float(np.sum(wds * np.sum(u_ex**2, axis=1)))
-        e_u = np.sqrt(num_u / den_u)
+        e_u = relative(_interpolate(solution.u, fb), problem.exact_u(phis))
     if problem.exact_n is not None:
-        n_h = solution.ops.membrane_force_profile(solution.u, xis, fb)
-        n_ex = problem.exact_n(phis)
-        num_n = float(np.sum(wds * (n_h - n_ex) ** 2))
-        den_n = float(np.sum(wds * n_ex**2))
-        e_n = np.sqrt(num_n / den_n)
+        e_n = relative(solution.ops.membrane_force_profile(solution.u, xis, fb),
+                       problem.exact_n(phis))
     if problem.exact_m is not None:
-        m_h = solution.ops.bending_moment_profile(solution.u, xis, fb)
-        m_ex = problem.exact_m(phis)
-        num_m = float(np.sum(wds * (m_h - m_ex) ** 2))
-        den_m = float(np.sum(wds * m_ex**2))
-        e_m = np.sqrt(num_m / den_m)
+        e_m = relative(solution.ops.bending_moment_profile(solution.u, xis, fb),
+                       problem.exact_m(phis))
     return ErrorReport(e_u=e_u, e_n=e_n, e_m=e_m,
-                       point_errors=point_errors(problem, solution))
+                       point_errors=_point_errors(checks, _interpolate(solution.u, batch[m:])))
 
 
 def _nudge_off_knots(xis: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
@@ -141,19 +150,28 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
                   n_samples: int) -> np.ndarray:
     """Uniform-in-xi field samples: columns are FIELD_COLUMNS.
 
-    Exact columns hold NaN where the problem has no exact field.
+    Exact columns hold NaN where the problem has no exact field. One frame
+    batch holds the samples, a 10-point Gauss rule on [element start, xi] of
+    each sample and the same rule on each element: s sums jac x weights.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     curve = solution.curve
-    xis = _nudge_off_knots(np.linspace(0.0, 1.0, n_samples),
-                           np.asarray(curve.knot_vector.breakpoints))
-    s = arc_lengths_at(curve, xis)
-    fb = frames_at(curve, xis)
+    bp = np.asarray(curve.knot_vector.breakpoints, dtype=float)
+    xis = _nudge_off_knots(np.linspace(0.0, 1.0, n_samples), bp)
+    rule = _legendre(_ARC_RULE_POINTS)
+    e = np.clip(np.searchsorted(bp, xis, side="right") - 1, 0, curve.n_elements - 1)
+    partial, partial_halves = _gauss_points(bp[e], xis, rule.points)
+    whole, whole_halves = _gauss_points(bp[:-1], bp[1:], rule.points)
+    batch = frames_at(curve, np.concatenate([xis, partial, whole]))
+    jac = batch.jac[n_samples:].reshape(-1, rule.n_points)
+    boundary = np.concatenate([[0.0], np.cumsum(whole_halves * (jac[n_samples:] @ rule.weights))])
+    s = boundary[e] + partial_halves * (jac[:n_samples] @ rule.weights)
+    fb = batch[:n_samples]
     n_h = solution.ops.membrane_force_profile(solution.u, xis, fb)
     m_h = solution.ops.bending_moment_profile(solution.u, xis, fb)
-    u_h = _interpolate(solution, fb)
-    phi = problem.angle_map(xis)
+    u_h = _interpolate(solution.u, fb)
+    phi = problem.angle_map(_interpolate(curve.control_points, fb))
     missing = np.full(n_samples, np.nan)
     n_ex = missing if problem.exact_n is None else problem.exact_n(phi)
     m_ex = missing if problem.exact_m is None else problem.exact_m(phi)

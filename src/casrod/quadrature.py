@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,18 @@ class QuadratureRule:
         return len(self.points)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _legendre(n_pts: int) -> QuadratureRule:
+    """The n-point rule, built once per process and shared read-only. Invalid
+    counts raise what `leggauss` raises; `typed` keeps 3.0 off the entry of 3."""
+    pts, wts = np.polynomial.legendre.leggauss(n_pts)
+    pts.setflags(write=False)
+    wts.setflags(write=False)
+    return QuadratureRule(pts, wts)
+
+
 def gauss_rule(n_pts: int) -> QuadratureRule:
     """Standard Gauss-Legendre rule with 1..10 points (exactness degree 2n-1)."""
     if not 1 <= n_pts <= 10:
         raise ValueError(f"n_pts must be between 1 and 10, got {n_pts}")
-    pts, wts = np.polynomial.legendre.leggauss(n_pts)
-    return QuadratureRule(pts, wts)
+    return _legendre(n_pts)

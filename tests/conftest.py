@@ -43,7 +43,7 @@ def straight_rod_4():
 @pytest.fixture
 def basis_calls(monkeypatch):
     """List that grows by one per basis evaluation: every one (nurbs_basis_many,
-    frames_at, arc_lengths_at, evaluate_geometry) goes through
+    frames_at, evaluate_geometry, displacement_at) goes through
     splines.bspline_basis_many."""
     calls = []
     original = casrod.splines.bspline_basis_many

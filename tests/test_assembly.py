@@ -34,6 +34,7 @@ from casrod.assembly import (
     reaction_forces,
     solution_backward_error,
 )
+from casrod.quadrature import _legendre
 from casrod.errors import (
     DegenerateParametrizationError,
     NonAxisAlignedRotationError,
@@ -69,6 +70,27 @@ class TestGaussRule:
             gauss_rule(0)
         with pytest.raises(ValueError):
             gauss_rule(11)
+
+    def test_rules_are_cached_and_read_only(self):
+        rule = gauss_rule(3)
+        assert gauss_rule(3) is rule
+        for array in (rule.points, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        np.testing.assert_array_equal(rule.points, np.polynomial.legendre.leggauss(3)[0])
+
+    def test_uncached_counts_raise_what_leggauss_raises(self):
+        # the cached builder behind gauss_rule and the error rule of l2_errors
+        assert _legendre(20) is _legendre(20)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                _legendre(bad)
+        _legendre(3)
+        for bad in (2.5, 3.0):
+            with pytest.raises(TypeError):
+                _legendre(bad)
+        with pytest.raises(TypeError):
+            gauss_rule(2.5)
 
 
 class TestAssemble:
@@ -274,6 +296,71 @@ class TestConstraints:
                 clamped_end_constraints(curve, end)
             with pytest.raises(DegenerateParametrizationError):
                 frame_at(curve, 0.0 if end == "start" else 1.0)
+
+    def test_tie_of_a_dof_to_itself_rejected(self):
+        # it used to delete the dof: u[2, 0] became 0 instead of -0.0406
+        problem = build_ring_quarter(4, 1e6)
+        system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                          problem.loads)
+        with pytest.raises(ValueError, match="itself"):
+            apply_constraints(system, problem.constraints + [TieDof(2, 2, 0)])
+
+    def test_duplicate_tie_rejected(self):
+        # folding the symmetry tie twice moved the solution by 0.070 (max |u| 0.073)
+        problem = build_ring_quarter(4, 1e6)
+        system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                          problem.loads)
+        tie = next(c for c in problem.constraints if isinstance(c, TieDof))
+        with pytest.raises(ValueError, match="already tied"):
+            apply_constraints(system, problem.constraints + [tie])
+
+    def test_slave_tied_to_two_masters_rejected(self):
+        problem = build_ring_quarter(4, 1e6)
+        system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                          problem.loads)
+        with pytest.raises(ValueError, match="already tied"):
+            apply_constraints(system, [TieDof(2, 1, 0), TieDof(2, 3, 0)])
+
+    def test_tie_cycle_rejected(self):
+        problem = build_ring_quarter(4, 1e6)
+        system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                          problem.loads)
+        with pytest.raises(ValueError, match="cycle"):
+            apply_constraints(system, [TieDof(2, 3, 0), TieDof(3, 4, 0), TieDof(4, 2, 0)])
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["master-tie-first", "slave-tie-first"])
+    def test_chained_ties_fold_into_the_chain_end(self, order):
+        # 5 -> 4 -> 3 in either order is 5 -> 3 and 4 -> 3; both orders used
+        # to lose either the folded stiffness or the expanded displacement
+        problem = build_ring_quarter(6, 1e4)
+        system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                          problem.loads)
+        chain = [TieDof(4, 3, 0), TieDof(5, 4, 0)][::order]
+        direct = [TieDof(4, 3, 0), TieDof(5, 3, 0)][::order]
+        con = apply_constraints(system, problem.constraints + chain)
+        k_ref, f_ref = _dense_elimination(system.k, system.f, problem.constraints + direct)
+        np.testing.assert_array_equal(con.k, k_ref)
+        np.testing.assert_array_equal(con.f, f_ref)
+        u = solve(con).u
+        np.testing.assert_array_equal(
+            u, solve(apply_constraints(system, problem.constraints + direct)).u)
+        assert u[3, 0] == u[4, 0] == u[5, 0] != 0.0
+
+    @pytest.mark.parametrize("form", [ElementFormulation.CAS, ElementFormulation.GLOBAL_BBAR],
+                             ids=lambda f: f.value)
+    def test_fixed_dofs_anywhere_equal_dense_elimination(self, form):
+        # removals away from the rod ends, next to each other and at both ends
+        problem = build_arch_half(7, 0.01)
+        system = assemble(problem.curve, problem.section, form, problem.loads)
+        rng = np.random.default_rng(3)
+        n = len(system.f)
+        for trial in range(20):
+            dofs = np.flatnonzero(rng.random(n) < (0.1, 0.4, 0.8, 0.95)[trial % 4])
+            cons = [FixedDof(int(d) // 2, int(d) % 2) for d in dofs]
+            con = apply_constraints(system, cons)
+            k_ref, f_ref = _dense_elimination(system.k, system.f, cons)
+            np.testing.assert_array_equal(con.k, k_ref)
+            np.testing.assert_array_equal(con.f, f_ref)
 
     def test_tie_constraint_bookkeeping(self):
         rod = straight_rod(2)

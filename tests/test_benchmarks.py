@@ -58,14 +58,17 @@ class TestRingProblem:
         # so phi decreases monotonically along xi and |dphi/ds| = 1/R
         problem = build_ring_quarter(8, 1e4)
         xis = np.linspace(0, 1, 41)
-        phis = np.array([problem.angle_map(float(x)) for x in xis])
+        def phi_at(xi):
+            return problem.angle_map(evaluate_geometry(problem.curve, xi)[0])
+
+        phis = np.array([phi_at(float(x)) for x in xis])
         assert np.all(np.diff(phis) < 0)
         assert phis[0] == pytest.approx(math.pi / 2, abs=1e-12)
         assert phis[-1] == pytest.approx(0.0, abs=1e-12)
         for xi in (0.2, 0.5, 0.8):
             d = 1e-7
             fr = frame_at(problem.curve, xi)
-            dphi = (problem.angle_map(xi + d) - problem.angle_map(xi - d)) / (2 * d)
+            dphi = (phi_at(xi + d) - phi_at(xi - d)) / (2 * d)
             assert abs(dphi) / fr.jac == pytest.approx(1.0, rel=1e-6)
 
     def test_invalid_ea(self):
@@ -238,6 +241,19 @@ class TestProblemSetup:
             build_arch_half(n, 0.01)
             build_ellipse_quarter(n, 0.04)
         assert basis_calls == []
+
+    @pytest.mark.parametrize("build, point", [
+        (lambda: build_ring_quarter(4, 1e6), lambda phi: (np.sin(phi), -np.cos(phi))),
+        (lambda: build_arch_half(4, 0.01), lambda phi: (-10 * np.cos(phi), 10 * np.sin(phi))),
+        (lambda: build_ellipse_quarter(4, 0.04), lambda phi: (-2 * np.cos(phi), np.sin(phi))),
+    ], ids=["ring", "arch", "ellipse"])
+    def test_angle_map_inverts_the_conic_parametrization(self, build, point):
+        # angle_map takes positions, shape S + (2,), and returns phi, shape S
+        phis = np.linspace(0.0, math.pi / 2, 13).reshape(13, 1)
+        x = np.stack(point(phis), axis=-1)
+        got = build().angle_map(x)
+        assert got.shape == phis.shape
+        np.testing.assert_allclose(got, phis, rtol=0, atol=1e-15)
 
 
 class TestRefinement:

@@ -14,6 +14,7 @@ from casrod import (
     element_stiffness_local_ans,
     element_stiffness_local_bbar,
     element_stiffness_standard,
+    evaluate_geometry,
     gauss_rule,
     greville_abscissae,
     membrane_force_field,
@@ -332,7 +333,8 @@ class TestFieldRecovery:
         sol_cas = solve_problem(problem, ElementFormulation.CAS)
         sol_std = solve_problem(problem, ElementFormulation.NURBS_FULL)
         xis = np.linspace(1e-9, 1 - 1e-9, 301)
-        phis = np.array([problem.angle_map(float(x)) for x in xis])
+        phis = np.array([problem.angle_map(evaluate_geometry(problem.curve, float(x))[0])
+                         for x in xis])
         n_exact = np.array([problem.exact_n(p) for p in phis])
         n_cas = sol_cas.ops.membrane_force_profile(sol_cas.u, xis)
         n_std = sol_std.ops.membrane_force_profile(sol_std.u, xis)
@@ -350,7 +352,8 @@ class TestFieldRecovery:
             mid, half = 0.5 * (bp[e] + bp[e + 1]), 0.5 * (bp[e + 1] - bp[e])
             xi_q = mid + half * pts
             m_h = sol.ops.bending_moment_profile(sol.u, xi_q)
-            m_ex = np.array([problem.exact_m(problem.angle_map(float(x))) for x in xi_q])
+            m_ex = np.array([problem.exact_m(problem.angle_map(
+                evaluate_geometry(problem.curve, float(x))[0])) for x in xi_q])
             mean_h = wts @ m_h
             mean_ex = wts @ m_ex
             worst = max(worst, abs(mean_h - mean_ex) / 0.5)

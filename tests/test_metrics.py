@@ -15,24 +15,32 @@ from casrod import (
     build_ring_quarter,
     convergence_rate,
     displacement_at,
+    evaluate_geometry,
     l2_errors,
     sample_fields,
     solve_problem,
 )
 from casrod.errors import InsufficientDataError, MissingExactFieldError
-from casrod.metrics import FIELD_COLUMNS
+from casrod.metrics import FIELD_COLUMNS, _nudge_off_knots
 from casrod.rod import ROT90, frames_at
-from casrod.splines import NurbsCurve, element_arc_lengths
+from casrod.splines import NurbsCurve
+
+from oracles import arc_lengths_at, element_arc_lengths
+
+
+def phi_at(problem, xi):
+    """The angle phi of the curve point at xi (angle_map takes positions)."""
+    return problem.angle_map(evaluate_geometry(problem.curve, xi)[0])
 
 
 def xi_of_angle(problem, phi):
     """Numerical inverse of the (monotone) angle map."""
-    lo = problem.angle_map(0.0)
-    hi = problem.angle_map(1.0)
+    lo = phi_at(problem, 0.0)
+    hi = phi_at(problem, 1.0)
     if lo > hi:
         lo, hi = hi, lo
     phi = min(max(phi, lo), hi)
-    return brentq(lambda x: problem.angle_map(x) - phi, 0.0, 1.0, xtol=1e-15)
+    return brentq(lambda x: phi_at(problem, x) - phi, 0.0, 1.0, xtol=1e-15)
 
 
 class TestL2Errors:
@@ -131,7 +139,7 @@ class TestL2Errors:
             loads=rot_loads,
             constraints=(symmetry_end_constraints(rot_curve, "start")
                          + symmetry_end_constraints(rot_curve, "end")),
-            angle_map=lambda xi: problem.angle_map(xi),
+            angle_map=lambda x: problem.angle_map(x @ ROT90),  # un-rotate the positions
             point_checks=[dataclasses.replace(pc, direction=tuple(
                 ROT90 @ np.asarray(pc.direction))) for pc in problem.point_checks],
         )
@@ -192,10 +200,10 @@ class TestBatchedCallbacks:
         monkeypatch.setattr(casrod.metrics, "frames_at", counted)
         monkeypatch.setattr(casrod.formulations, "frames_at", counted)
         l2_errors(problem, sol)
-        assert calls == [80]
+        assert calls == [80 + 1]  # 10 error points per element, then the point check
         calls.clear()
         sample_fields(problem, sol, 101)
-        assert calls == [101]
+        assert calls == [101 + 1010 + 80]  # samples, arc-length rules per sample, per element
         calls.clear()
         PatchOperators(problem.curve, problem.section, form)
         assert len(calls) == 1
@@ -206,8 +214,83 @@ class TestBatchedCallbacks:
                                       sol.ops.membrane_force_profile(sol.u, xis))
         np.testing.assert_array_equal(sol.ops.bending_moment_profile(sol.u, xis, fb),
                                       sol.ops.bending_moment_profile(sol.u, xis))
-        np.testing.assert_array_equal(casrod.metrics._interpolate(sol, fb),
+        np.testing.assert_array_equal(casrod.metrics._interpolate(sol.u, fb),
                                       displacement_at(sol, xis))
+
+
+class TestOneBatch:
+    def test_one_basis_evaluation_per_call(self, basis_calls):
+        problem = build_arch_half(8, 0.01)
+        sol = solve_problem(problem, ElementFormulation.CAS)
+        basis_calls.clear()
+        l2_errors(problem, sol)
+        assert len(basis_calls) == 1
+        basis_calls.clear()
+        sample_fields(problem, sol, 101)
+        assert len(basis_calls) == 1
+
+    def test_warm_calls_build_no_gauss_rule(self, monkeypatch):
+        problem = build_arch_half(8, 0.01)
+        sol = solve_problem(problem, ElementFormulation.CAS)
+
+        def calls():
+            PatchOperators(problem.curve, problem.section, ElementFormulation.CAS)
+            l2_errors(problem, sol)
+            l2_errors(problem, sol, quad_pts_per_element=20)
+            sample_fields(problem, sol, 101)
+
+        calls()  # warm: every rule is built once per process
+        counted = []
+        original = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda *a: counted.append(a) or original(*a))
+        calls()
+        assert counted == []
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("make", [lambda n: build_ring_quarter(n, 1e6),
+                                      lambda n: build_arch_half(n, 0.01),
+                                      lambda n: build_ellipse_quarter(n, 0.04)],
+                             ids=["ring", "arch", "ellipse"])
+    def test_arc_length_column_matches_oracle(self, make, n):
+        # 4n + 1 samples put one on every knot, so these are nudged off it
+        problem = make(n)
+        sol = solve_problem(problem, ElementFormulation.CAS)
+        n_samples = 4 * n + 1
+        rows = sample_fields(problem, sol, n_samples)
+        bp = np.asarray(problem.curve.knot_vector.breakpoints)
+        xis = _nudge_off_knots(np.linspace(0.0, 1.0, n_samples), bp)
+        assert np.count_nonzero(xis != np.linspace(0.0, 1.0, n_samples)) == n + 1
+        s_ref = arc_lengths_at(problem.curve, xis)
+        np.testing.assert_allclose(rows[:, 0], s_ref, rtol=1e-14, atol=1e-14 * s_ref[-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("make, radius", [(lambda n: build_ring_quarter(n, 1e6), 1.0),
+                                              (lambda n: build_arch_half(n, 0.01), 10.0),
+                                              (lambda n: build_ellipse_quarter(n, 0.04), 2.0)],
+                             ids=["ring", "arch", "ellipse"])
+    def test_angle_map_receives_curve_positions(self, make, radius, n):
+        problem = make(n)
+        sol = solve_problem(problem, ElementFormulation.CAS)
+        seen = []
+
+        def angle_map(x):
+            seen.append(x)
+            return problem.angle_map(x)
+
+        recorded = dataclasses.replace(problem, angle_map=angle_map,
+                                       exact_m=problem.exact_m or (lambda phi: np.ones_like(phi)))
+        l2_errors(recorded, sol)
+        bp = np.asarray(problem.curve.knot_vector.breakpoints)
+        pts = np.polynomial.legendre.leggauss(10)[0]
+        xis = (0.5 * (bp[1:] + bp[:-1])[:, None] + 0.5 * (bp[1:] - bp[:-1])[:, None] * pts)
+        sample_fields(recorded, sol, 33)
+        samples = _nudge_off_knots(np.linspace(0.0, 1.0, 33), bp)
+        assert len(seen) == 2
+        for x, at in zip(seen, (xis.reshape(-1), samples)):
+            expected = evaluate_geometry(problem.curve, at)[0]
+            assert x.shape == expected.shape
+            np.testing.assert_allclose(x, expected, rtol=0, atol=1e-14 * radius)
 
 
 class TestSampleFields:

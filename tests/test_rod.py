@@ -64,7 +64,7 @@ class TestFrame:
         np.testing.assert_allclose(np.einsum("mc,mc->m", fb.da2_ds, fb.a2), 0.0, atol=1e-12)
 
     def test_second_arc_derivative_matches_finite_differences(self, quarter_ellipse):
-        from casrod.splines import element_arc_lengths, arc_lengths_at
+        from oracles import arc_lengths_at, element_arc_lengths
 
         curve = quarter_ellipse
         total = element_arc_lengths(curve)[-1]

@@ -16,15 +16,10 @@ from casrod import (
     refine_uniform,
 )
 from casrod.errors import OutOfDomainError
-from casrod.splines import (
-    arc_length_at,
-    arc_lengths_at,
-    bspline_basis_many,
-    element_arc_lengths,
-    nurbs_basis_many,
-)
+from casrod.splines import bspline_basis_many, nurbs_basis_many
 
 from conftest import CONIC_W
+from oracles import arc_length_at, arc_lengths_at, element_arc_lengths
 
 
 def naive_cox_de_boor(t, p, i, xi):
