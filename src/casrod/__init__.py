@@ -12,7 +12,6 @@ from .assembly import (
     FixedDof,
     GlobalSystem,
     LoadSpec,
-    QuadratureRule,
     RodSolution,
     TieDof,
     apply_constraints,
@@ -37,13 +36,6 @@ from .formulations import (
     ElementFormulation,
     ElementMatrices,
     PatchOperators,
-    bending_moment_field,
-    element_stiffness_cas,
-    element_stiffness_local_ans,
-    element_stiffness_local_bbar,
-    element_stiffness_standard,
-    membrane_force_field,
-    patch_stiffness_global_bbar,
 )
 from .metrics import (
     ConvergenceRecord,
@@ -56,23 +48,12 @@ from .metrics import (
 from .rod import (
     ControlDisplacements,
     CrossSection,
-    GeometryFrame,
-    bending_strain,
-    frame_at,
-    membrane_strain,
-    stress_resultants,
 )
 from .splines import (
-    BasisEval,
     KnotVector,
     NurbsCurve,
-    bspline_basis,
     evaluate_geometry,
-    greville_abscissae,
-    insert_knot,
     make_open_uniform_knot_vector,
-    nurbs_basis,
-    refine_uniform,
 )
 
 __version__ = "0.1.0"

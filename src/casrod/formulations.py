@@ -29,22 +29,11 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy.linalg import solveh_banded
 
 from . import banded
-from .quadrature import QuadratureRule, gauss_rule
+from .quadrature import gauss_rule
 from .rod import CrossSection, FrameBatch, frames_at
 from .splines import NurbsCurve
 
-__all__ = [
-    "ElementFormulation",
-    "ElementMatrices",
-    "PatchOperators",
-    "element_stiffness_standard",
-    "element_stiffness_cas",
-    "element_stiffness_local_bbar",
-    "element_stiffness_local_ans",
-    "patch_stiffness_global_bbar",
-    "membrane_force_field",
-    "bending_moment_field",
-]
+__all__ = ["ElementFormulation", "ElementMatrices", "PatchOperators"]
 
 _GAUSS2_NODE = 1.0 / math.sqrt(3.0)
 
@@ -110,7 +99,8 @@ class PatchOperators:
         self.curve = curve
         self.section = section
         self.formulation = formulation
-        self.n_quad = quad_points or formulation.default_quad_points(curve.degree)
+        self.n_quad = (formulation.default_quad_points(curve.degree)
+                       if quad_points is None else quad_points)
         self.quad = gauss_rule(self.n_quad)
 
         p = curve.degree
@@ -144,38 +134,27 @@ class PatchOperators:
         self._kb = np.einsum("eq,eqi,eqj->eij", section.ei * self.wds,
                              self.brows, self.brows)
         self._km = None
-        self._pair_rows = None
-        self._bbar_proj = None
+        self._pair = None  # (strain rows, node) of the assumed-strain pair forms
         self._patch_projection = None
 
         if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
             self._km = np.einsum("eq,eqi,eqj->eij", section.ea * self.wds,
                                  self.mrows, self.mrows)
-        elif form is ElementFormulation.CAS:
-            self._pair_rows = self._cas_pair_rows(fb[m:])
-            self._km = self._pair_stiffness(self._pair_mass(node=1.0), self._pair_rows)
-        elif form is ElementFormulation.LOCAL_ANS:
-            fx = fb[m:]
-            assert np.array_equal(fx.first_active, np.repeat(np.arange(n_el), 2))
-            self._pair_rows = _membrane_rows(fx).reshape(n_el, 2, -1)
-            self._km = self._pair_stiffness(self._pair_mass(node=_GAUSS2_NODE),
-                                            self._pair_rows)
-        elif form is ElementFormulation.LOCAL_BBAR:
-            mass = self._pair_mass(node=1.0)
-            lvals = _linear_pair(self.quad.points, 1.0)
-            rhs = np.einsum("eq,ql,eqi->eli", self.wds, lvals, self.mrows)
-            det = mass[:, 0, 0] * mass[:, 1, 1] - mass[:, 0, 1] * mass[:, 1, 0]
-            assert np.all(det > 0.0), "singular element mass on a nonzero span"
-            inv = np.empty_like(mass)
-            inv[:, 0, 0] = mass[:, 1, 1]
-            inv[:, 1, 1] = mass[:, 0, 0]
-            inv[:, 0, 1] = -mass[:, 0, 1]
-            inv[:, 1, 0] = -mass[:, 1, 0]
-            inv /= det[:, None, None]
-            self._bbar_proj = np.einsum("elm,emi->eli", inv, rhs)
-            self._km = self._pair_stiffness(mass, self._bbar_proj)
         elif form is not ElementFormulation.GLOBAL_BBAR:
-            raise AssertionError(form)
+            node = _GAUSS2_NODE if form is ElementFormulation.LOCAL_ANS else 1.0
+            mass = self._pair_mass(node)
+            if form is ElementFormulation.CAS:
+                rows = self._cas_pair_rows(fb[m:])
+            elif form is ElementFormulation.LOCAL_ANS:
+                fx = fb[m:]
+                assert np.array_equal(fx.first_active, np.repeat(np.arange(n_el), 2))
+                rows = _membrane_rows(fx).reshape(n_el, 2, -1)
+            elif form is ElementFormulation.LOCAL_BBAR:
+                rows = self._local_projection(mass)
+            else:
+                raise AssertionError(form)
+            self._pair = (rows, node)
+            self._km = self._pair_stiffness(mass, rows)
 
     # -- precomputation helpers ----------------------------------------------
 
@@ -188,6 +167,20 @@ class PatchOperators:
         """EA * rows^T M rows per element, for 2 x (2(p+1)) strain rows."""
         return self.section.ea * np.einsum("eli,elj->eij", rows,
                                            np.einsum("elm,emj->elj", mass, rows))
+
+    def _local_projection(self, mass: np.ndarray) -> np.ndarray:
+        """Element-local L2 projection of the strain rows onto the linear pair."""
+        lvals = _linear_pair(self.quad.points, 1.0)
+        rhs = np.einsum("eq,ql,eqi->eli", self.wds, lvals, self.mrows)
+        det = mass[:, 0, 0] * mass[:, 1, 1] - mass[:, 0, 1] * mass[:, 1, 0]
+        assert np.all(det > 0.0), "singular element mass on a nonzero span"
+        inv = np.empty_like(mass)
+        inv[:, 0, 0] = mass[:, 1, 1]
+        inv[:, 1, 1] = mass[:, 0, 0]
+        inv[:, 0, 1] = -mass[:, 0, 1]
+        inv[:, 1, 0] = -mass[:, 1, 0]
+        inv /= det[:, None, None]
+        return np.einsum("elm,emi->eli", inv, rhs)
 
     def _cas_pair_rows(self, fb: FrameBatch) -> np.ndarray:
         """Membrane strain rows at both end knots of every element.
@@ -320,12 +313,9 @@ class PatchOperators:
             nodal = solveh_banded(ab, g @ u_flat)
             coeff = np.stack([nodal[:-1], nodal[1:]], axis=1)
             node = 1.0
-        elif form is ElementFormulation.LOCAL_BBAR:
-            coeff = np.einsum("eli,ei->el", self._bbar_proj, win)
-            node = 1.0
-        else:  # CAS and local ANS share the interpolation structure
-            coeff = np.einsum("eli,ei->el", self._pair_rows, win)
-            node = _GAUSS2_NODE if form is ElementFormulation.LOCAL_ANS else 1.0
+        else:
+            rows, node = self._pair
+            coeff = np.einsum("eli,ei->el", rows, win)
         lvals = _linear_pair(xhat, node)
         return np.einsum("ml,ml->m", lvals, coeff[e_idx])
 
@@ -348,67 +338,3 @@ class PatchOperators:
                                frames: FrameBatch | None = None) -> np.ndarray:
         return self.section.ei * self.bending_strain_profile(u, xis, frames)
 
-
-# -- free-function convenience wrappers ----------------------------------------
-
-
-def element_stiffness_standard(curve: NurbsCurve, section: CrossSection,
-                               element_index: int, quad: QuadratureRule) -> ElementMatrices:
-    """Full/reduced-integration element stiffness (rule taken from `quad`)."""
-    ops = PatchOperators(curve, section, ElementFormulation.NURBS_FULL,
-                         quad_points=quad.n_points)
-    return ops.element_matrices(element_index)
-
-
-def element_stiffness_cas(curve: NurbsCurve, section: CrossSection,
-                          element_index: int, quad: QuadratureRule) -> ElementMatrices:
-    ops = PatchOperators(curve, section, ElementFormulation.CAS,
-                         quad_points=quad.n_points)
-    return ops.element_matrices(element_index)
-
-
-def element_stiffness_local_bbar(curve: NurbsCurve, section: CrossSection,
-                                 element_index: int, quad: QuadratureRule) -> ElementMatrices:
-    ops = PatchOperators(curve, section, ElementFormulation.LOCAL_BBAR,
-                         quad_points=quad.n_points)
-    return ops.element_matrices(element_index)
-
-
-def element_stiffness_local_ans(curve: NurbsCurve, section: CrossSection,
-                                element_index: int, quad: QuadratureRule) -> ElementMatrices:
-    ops = PatchOperators(curve, section, ElementFormulation.LOCAL_ANS,
-                         quad_points=quad.n_points)
-    return ops.element_matrices(element_index)
-
-
-def patch_stiffness_global_bbar(curve: NurbsCurve, section: CrossSection,
-                                quad: QuadratureRule) -> np.ndarray:
-    """Global B-bar patch stiffness (dense): standard bending plus the dense
-    membrane block."""
-    ops = PatchOperators(curve, section, ElementFormulation.GLOBAL_BBAR,
-                         quad_points=quad.n_points)
-    return banded.to_dense(ops.stiffness_band())
-
-
-def _as_control_array(u) -> np.ndarray:
-    """Accept a RodSolution, ControlDisplacements, or plain array."""
-    if hasattr(u, "displacements"):
-        u = u.displacements
-    if hasattr(u, "u"):
-        u = u.u
-    return np.asarray(u, dtype=float)
-
-
-def membrane_force_field(formulation: ElementFormulation, curve: NurbsCurve,
-                         section: CrossSection, u, xi,
-                         quad_points: int | None = None) -> np.ndarray:
-    """Membrane force N at xi, using the formulation's strain recovery."""
-    ops = PatchOperators(curve, section, formulation, quad_points)
-    return ops.membrane_force_profile(_as_control_array(u), xi)
-
-
-def bending_moment_field(curve: NurbsCurve, section: CrossSection,
-                         u, xi) -> np.ndarray:
-    """Bending moment M = EI*kappa at xi (discontinuous across knots)."""
-    ops = PatchOperators(curve, section, ElementFormulation.NURBS_FULL)
-    return ops.bending_moment_profile(_as_control_array(u), xi)

@@ -16,46 +16,12 @@ import numpy as np
 from .errors import DegenerateParametrizationError
 from .splines import NurbsCurve, nurbs_basis_many
 
-__all__ = [
-    "ROT90",
-    "GeometryFrame",
-    "FrameBatch",
-    "CrossSection",
-    "ControlDisplacements",
-    "frame_at",
-    "frames_at",
-    "membrane_strain",
-    "bending_strain",
-    "stress_resultants",
-]
+__all__ = ["ROT90", "FrameBatch", "CrossSection", "ControlDisplacements", "frames_at"]
 
 # 90-degree counterclockwise rotation; maps a1 to a2.
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 _MIN_JACOBIAN = 1e-14
-
-
-@dataclass
-class GeometryFrame:
-    """Local frame and arc-length basis derivatives at one parametric point.
-
-    Attributes:
-        a1: unit tangent.
-        a2: unit normal (90-degree CCW rotation of a1).
-        da2_ds: arc-length derivative of a2.
-        jac: parametric speed ds/dxi.
-        dN_ds: arc-length first derivatives of the active basis functions.
-        d2N_ds2: arc-length second derivatives of the active basis functions.
-        first_active: index of the first active basis function.
-    """
-
-    a1: np.ndarray
-    a2: np.ndarray
-    da2_ds: np.ndarray
-    jac: float
-    dN_ds: np.ndarray
-    d2N_ds2: np.ndarray
-    first_active: int
 
 
 @dataclass(frozen=True)
@@ -88,10 +54,6 @@ class ControlDisplacements:
         if self.u.ndim != 2 or self.u.shape[1] != 2:
             raise ValueError("expected an (n, 2) array of control displacements")
 
-    def active(self, frame: GeometryFrame) -> np.ndarray:
-        """Rows of u for the basis functions active in the given frame."""
-        return self.u[frame.first_active:frame.first_active + len(frame.dN_ds)]
-
 
 @dataclass
 class FrameBatch:
@@ -110,12 +72,10 @@ class FrameBatch:
         return len(self.jac)
 
     def __getitem__(self, index) -> FrameBatch:
-        """The batch of the selected points (an index array or a slice)."""
+        """The batch of the selected points (an index array or a slice); an
+        integer index gives the unbatched rows of that one point."""
         return FrameBatch(*(getattr(self, f.name)[index] for f in fields(self)))
 
-    def frame(self, i: int) -> GeometryFrame:
-        return GeometryFrame(self.a1[i], self.a2[i], self.da2_ds[i], float(self.jac[i]),
-                             self.dN_ds[i], self.d2N_ds2[i], int(self.first_active[i]))
 
 
 def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
@@ -147,22 +107,3 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     d2n_ds2 = bb.d2 / jac[:, None] ** 2 - bb.d1 * (rdot / jac**4)[:, None]
     return FrameBatch(bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values)
 
-
-def frame_at(curve: NurbsCurve, xi: float) -> GeometryFrame:
-    """frames_at at the single point xi."""
-    return frames_at(curve, [xi]).frame(0)
-
-
-def membrane_strain(frame: GeometryFrame, u_active: np.ndarray) -> float:
-    """eps = a1 . sum_b dN_b/ds U_b for the active control displacements."""
-    return float(frame.a1 @ (frame.dN_ds @ u_active))
-
-
-def bending_strain(frame: GeometryFrame, u_active: np.ndarray) -> float:
-    """kappa = a2 . sum_b d2N_b/ds2 U_b + da2/ds . sum_b dN_b/ds U_b."""
-    return float(frame.a2 @ (frame.d2N_ds2 @ u_active) + frame.da2_ds @ (frame.dN_ds @ u_active))
-
-
-def stress_resultants(section: CrossSection, eps: float, kappa: float) -> tuple[float, float]:
-    """Membrane force N = EA*eps and bending moment M = EI*kappa."""
-    return section.ea * eps, section.ei * kappa

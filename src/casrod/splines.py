@@ -1,4 +1,4 @@
-"""B-spline/NURBS basis evaluation, open knot vectors, knot insertion, curve geometry.
+"""B-spline/NURBS basis evaluation, open knot vectors and curve geometry.
 
 The parametric domain is fixed to [0, 1]. Knot vectors are open with no repeated
 interior knots, so the basis has maximal C^(p-1) continuity and every nonzero
@@ -16,17 +16,11 @@ from .errors import OutOfDomainError
 __all__ = [
     "KnotVector",
     "NurbsCurve",
-    "BasisEval",
     "BasisBatch",
     "make_open_uniform_knot_vector",
-    "bspline_basis",
     "bspline_basis_many",
-    "nurbs_basis",
     "nurbs_basis_many",
     "evaluate_geometry",
-    "refine_uniform",
-    "insert_knot",
-    "greville_abscissae",
 ]
 
 
@@ -74,12 +68,6 @@ class KnotVector:
     def n_elements(self) -> int:
         return len(self.breakpoints) - 1
 
-    def find_span(self, xi: float) -> int:
-        """Index k of the nonzero span [knots[k], knots[k+1]) containing xi.
-
-        xi = 1 is treated as belonging to the last nonzero span.
-        """
-        return int(_find_spans(self, np.array([xi], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -118,24 +106,6 @@ class NurbsCurve:
         return self.knot_vector.n_elements
 
 
-@dataclass
-class BasisEval:
-    """Nonzero basis functions at one parametric point.
-
-    values/d1/d2 hold the p+1 functions with indices
-    first_active .. first_active+p; derivatives are parametric (d/dxi).
-    """
-
-    first_active: int
-    values: np.ndarray
-    d1: np.ndarray | None = None
-    d2: np.ndarray | None = None
-
-    @property
-    def active(self) -> np.ndarray:
-        return np.arange(self.first_active, self.first_active + len(self.values))
-
-
 def make_open_uniform_knot_vector(degree: int, n_elements: int) -> KnotVector:
     """Open knot vector with n_elements equal nonzero spans on [0, 1]."""
     if degree < 1:
@@ -149,7 +119,9 @@ def make_open_uniform_knot_vector(degree: int, n_elements: int) -> KnotVector:
 
 @dataclass
 class BasisBatch:
-    """Vectorized counterpart of BasisEval: row i holds the data at xis[i]."""
+    """Nonzero basis functions at each point of a batch: row i holds the
+    p+1 functions first_active[i] .. first_active[i]+p at xis[i]; derivatives
+    are parametric (d/dxi)."""
 
     first_active: np.ndarray          # (m,) int
     values: np.ndarray                # (m, p+1)
@@ -250,22 +222,6 @@ def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
     return BasisBatch(bb.first_active, r, r1, r2)
 
 
-def _first_row(bb: BasisBatch) -> BasisEval:
-    return BasisEval(int(bb.first_active[0]), bb.values[0],
-                     None if bb.d1 is None else bb.d1[0],
-                     None if bb.d2 is None else bb.d2[0])
-
-
-def bspline_basis(kv: KnotVector, xi: float, max_deriv: int = 2) -> BasisEval:
-    """bspline_basis_many at the single point xi."""
-    return _first_row(bspline_basis_many(kv, [xi], max_deriv))
-
-
-def nurbs_basis(curve: NurbsCurve, xi: float, max_deriv: int = 2) -> BasisEval:
-    """nurbs_basis_many at the single point xi."""
-    return _first_row(nurbs_basis_many(curve, [xi], max_deriv))
-
-
 def evaluate_geometry(curve: NurbsCurve, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Point r(xi) and parametric derivatives dr/dxi, d2r/dxi2 of the curve.
 
@@ -277,48 +233,4 @@ def evaluate_geometry(curve: NurbsCurve, xi) -> tuple[np.ndarray, np.ndarray, np
     q = curve.control_points[bb.first_active[:, None] + np.arange(curve.degree + 1)]
     return tuple(np.einsum("mj,mjc->mc", rows, q).reshape(xi.shape + (2,))
                  for rows in (bb.values, bb.d1, bb.d2))
-
-
-def insert_knot(curve: NurbsCurve, u: float) -> NurbsCurve:
-    """Insert a single knot at u (strictly inside a nonzero span).
-
-    Geometry is unchanged; the control net is updated in homogeneous
-    coordinates by the standard knot-insertion rule.
-    """
-    kv = curve.knot_vector
-    p, t = kv.degree, kv.knots
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"knot to insert must lie in (0, 1), got {u}")
-    if np.any(t == u):
-        raise ValueError(f"knot {u} already present (repeats are out of scope)")
-    k = kv.find_span(u)
-    pw = np.column_stack([
-        curve.weights[:, None] * curve.control_points,
-        curve.weights,
-    ])
-    new_pw = np.empty((len(pw) + 1, 3))
-    new_pw[:k - p + 1] = pw[:k - p + 1]
-    for i in range(k - p + 1, k + 1):
-        alpha = (u - t[i]) / (t[i + p] - t[i])
-        new_pw[i] = alpha * pw[i] + (1.0 - alpha) * pw[i - 1]
-    new_pw[k + 1:] = pw[k:]
-    new_t = np.insert(t, k + 1, u)
-    new_w = new_pw[:, 2]
-    new_q = new_pw[:, :2] / new_w[:, None]
-    return NurbsCurve(KnotVector(p, new_t), new_q, new_w)
-
-
-def refine_uniform(curve: NurbsCurve) -> NurbsCurve:
-    """Insert the midpoint of every nonzero span once (uniform h-refinement)."""
-    midpoints = 0.5 * (curve.knot_vector.breakpoints[:-1] + curve.knot_vector.breakpoints[1:])
-    refined = curve
-    for u in midpoints:
-        refined = insert_knot(refined, float(u))
-    return refined
-
-
-def greville_abscissae(kv: KnotVector) -> np.ndarray:
-    """Characteristic parametric abscissa of each basis function."""
-    p, t = kv.degree, kv.knots
-    return np.array([t[b + 1:b + p + 1].mean() for b in range(kv.n_basis)])
 

@@ -5,6 +5,7 @@ import pytest
 
 import casrod.splines
 from casrod import KnotVector, NurbsCurve, make_open_uniform_knot_vector
+from oracles import greville_abscissae
 
 CONIC_W = np.sqrt(2.0) / 2.0
 
@@ -28,8 +29,6 @@ def quarter_ellipse():
 def straight_rod(n_elements: int, length: float = 1.0) -> NurbsCurve:
     """Uniformly parametrized straight rod along x."""
     kv = make_open_uniform_knot_vector(2, n_elements)
-    from casrod import greville_abscissae
-
     x = length * greville_abscissae(kv)
     pts = np.column_stack([x, np.zeros_like(x)])
     return NurbsCurve(kv, pts, np.ones(kv.n_basis))

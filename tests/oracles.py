@@ -1,15 +1,20 @@
 """Reference implementations the tests check the package against.
 
-Arc length by a separate 10-point Gauss rule per parametric interval: the
-oracle for the `s` column of `sample_fields`, which integrates the same rule
-inside its one frame batch.
+- Arc length by a separate 10-point Gauss rule per parametric interval: the
+  oracle for the `s` column of `sample_fields`, which integrates the same rule
+  inside its one frame batch.
+- Pointwise membrane and bending strain from one frame (`fb[i]` of a
+  `FrameBatch`): the oracle for the strain rows of `PatchOperators`.
+- Sequential single-knot insertion: the oracle for the closed-form mesh
+  refinement of `benchmarks._refine_to`.
+- Greville abscissae, for exactly representable linear fields.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from casrod.splines import NurbsCurve, _find_spans, nurbs_basis_many
+from casrod.splines import KnotVector, NurbsCurve, _find_spans, nurbs_basis_many
 
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
 
@@ -54,3 +59,57 @@ def arc_length_at(curve: NurbsCurve, xi: float,
                   boundary_lengths: np.ndarray | None = None) -> float:
     """Arc length from xi=0 to xi. Pass precomputed boundary lengths to amortize."""
     return float(arc_lengths_at(curve, [xi], boundary_lengths)[0])
+
+
+def membrane_strain(frame, u_active: np.ndarray) -> float:
+    """eps = a1 . sum_b dN_b/ds U_b for the active control displacements."""
+    return float(frame.a1 @ (frame.dN_ds @ u_active))
+
+
+def bending_strain(frame, u_active: np.ndarray) -> float:
+    """kappa = a2 . sum_b d2N_b/ds2 U_b + da2/ds . sum_b dN_b/ds U_b."""
+    return float(frame.a2 @ (frame.d2N_ds2 @ u_active) + frame.da2_ds @ (frame.dN_ds @ u_active))
+
+
+def insert_knot(curve: NurbsCurve, u: float) -> NurbsCurve:
+    """Insert a single knot at u (strictly inside a nonzero span).
+
+    Geometry is unchanged; the control net is updated in homogeneous
+    coordinates by the standard knot-insertion rule.
+    """
+    kv = curve.knot_vector
+    p, t = kv.degree, kv.knots
+    if not 0.0 < u < 1.0:
+        raise ValueError(f"knot to insert must lie in (0, 1), got {u}")
+    if np.any(t == u):
+        raise ValueError(f"knot {u} already present (repeats are out of scope)")
+    k = int(_find_spans(kv, np.array([u], dtype=float))[0])
+    pw = np.column_stack([
+        curve.weights[:, None] * curve.control_points,
+        curve.weights,
+    ])
+    new_pw = np.empty((len(pw) + 1, 3))
+    new_pw[:k - p + 1] = pw[:k - p + 1]
+    for i in range(k - p + 1, k + 1):
+        alpha = (u - t[i]) / (t[i + p] - t[i])
+        new_pw[i] = alpha * pw[i] + (1.0 - alpha) * pw[i - 1]
+    new_pw[k + 1:] = pw[k:]
+    new_t = np.insert(t, k + 1, u)
+    new_w = new_pw[:, 2]
+    new_q = new_pw[:, :2] / new_w[:, None]
+    return NurbsCurve(KnotVector(p, new_t), new_q, new_w)
+
+
+def refine_uniform(curve: NurbsCurve) -> NurbsCurve:
+    """Insert the midpoint of every nonzero span once (uniform h-refinement)."""
+    midpoints = 0.5 * (curve.knot_vector.breakpoints[:-1] + curve.knot_vector.breakpoints[1:])
+    refined = curve
+    for u in midpoints:
+        refined = insert_knot(refined, float(u))
+    return refined
+
+
+def greville_abscissae(kv: KnotVector) -> np.ndarray:
+    """Characteristic parametric abscissa of each basis function."""
+    p, t = kv.degree, kv.knots
+    return np.array([t[b + 1:b + p + 1].mean() for b in range(kv.n_basis)])

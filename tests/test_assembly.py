@@ -26,7 +26,7 @@ from casrod import (
     solve_problem,
     symmetry_end_constraints,
 )
-from casrod import banded, evaluate_geometry, frame_at
+from casrod import banded, evaluate_geometry
 from casrod.assembly import (
     ConstrainedSystem,
     _band_backward_error,
@@ -40,9 +40,11 @@ from casrod.errors import (
     NonAxisAlignedRotationError,
     SingularSystemError,
 )
-from casrod.splines import greville_abscissae
+from casrod.rod import frames_at
+from casrod.splines import nurbs_basis_many
 
 from conftest import straight_rod
+from oracles import greville_abscissae, insert_knot
 
 
 class TestGaussRule:
@@ -192,7 +194,7 @@ class TestConstraints:
         # plus membrane flexibility, no shear):
         #   u_y = -(pi/4) (P R^3/EI + P R/EA),  u_x = P R^3/(2EI) - P R/(2EA)
         # checked at a stubby section so the membrane term matters
-        from casrod import CrossSection, KnotVector, NurbsCurve, insert_knot
+        from casrod import CrossSection, KnotVector, NurbsCurve
 
         radius, p_load = 1.0, 1.0
         curve = NurbsCurve(KnotVector(2, [0, 0, 0, 1, 1, 1]),
@@ -246,14 +248,12 @@ class TestConstraints:
 
         # shared physical points: the full model's right element reproduces
         # the half model (xi_full = (1 + xi_half) / 2 maps to the same x)
-        from casrod.splines import nurbs_basis
-
-        for xi_half in np.linspace(0, 1, 9):
-            be_h = nurbs_basis(half, float(xi_half), max_deriv=0)
-            uh = be_h.values @ u_half.u[be_h.first_active:be_h.first_active + 3]
-            xi_full = 0.5 + 0.5 * xi_half
-            be_f = nurbs_basis(full, float(xi_full), max_deriv=0)
-            uf = be_f.values @ u_full.u[be_f.first_active:be_f.first_active + 3]
+        xi_half = np.linspace(0, 1, 9)
+        bb_h = nurbs_basis_many(half, xi_half, max_deriv=0)
+        bb_f = nurbs_basis_many(full, 0.5 + 0.5 * xi_half, max_deriv=0)
+        for i in range(len(xi_half)):
+            uh = bb_h.values[i] @ u_half.u[bb_h.first_active[i]:bb_h.first_active[i] + 3]
+            uf = bb_f.values[i] @ u_full.u[bb_f.first_active[i]:bb_f.first_active[i] + 3]
             np.testing.assert_allclose(uh, uf, rtol=0, atol=1e-8 * np.abs(u_full.u).max())
 
     def test_constrain_all_dofs_gives_zero(self):
@@ -282,8 +282,8 @@ class TestConstraints:
                              ids=["ring", "arch", "ellipse"])
     def test_end_normal_from_control_leg_matches_frame(self, make, n):
         curve = make(n).curve
-        for end, xi in (("start", 0.0), ("end", 1.0)):
-            a2 = frame_at(curve, xi).a2
+        ends = frames_at(curve, [0.0, 1.0]).a2
+        for end, a2 in zip(("start", "end"), ends):
             assert _end_controls(curve, end)[2] == int(np.argmax(np.abs(a2)))
 
     def test_zero_length_end_leg_raises(self):
@@ -295,7 +295,7 @@ class TestConstraints:
             with pytest.raises(DegenerateParametrizationError):
                 clamped_end_constraints(curve, end)
             with pytest.raises(DegenerateParametrizationError):
-                frame_at(curve, 0.0 if end == "start" else 1.0)
+                frames_at(curve, [0.0 if end == "start" else 1.0])
 
     def test_tie_of_a_dof_to_itself_rejected(self):
         # it used to delete the dof: u[2, 0] became 0 instead of -0.0406

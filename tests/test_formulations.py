@@ -7,23 +7,16 @@ from casrod import (
     CrossSection,
     ElementFormulation,
     PatchOperators,
-    bending_moment_field,
+    banded,
     build_arch_half,
     build_ring_quarter,
-    element_stiffness_cas,
-    element_stiffness_local_ans,
-    element_stiffness_local_bbar,
-    element_stiffness_standard,
     evaluate_geometry,
-    gauss_rule,
-    greville_abscissae,
-    membrane_force_field,
-    patch_stiffness_global_bbar,
     solve_problem,
 )
 from casrod.formulations import _GAUSS2_NODE, _linear_pair
 
 from conftest import straight_rod
+from oracles import greville_abscissae
 
 ALL_FORMS = list(ElementFormulation)
 ELEMENT_FORMS = [f for f in ALL_FORMS if f is not ElementFormulation.GLOBAL_BBAR]
@@ -37,7 +30,8 @@ class TestStandardElement:
         # modes; removing the 4 dofs of the first two control points leaves a
         # nonsingular block (eigen-decomposition oracle)
         rod = straight_rod(1)
-        em = element_stiffness_standard(rod, UNIT_SECTION, 0, gauss_rule(3))
+        em = PatchOperators(rod, UNIT_SECTION, ElementFormulation.NURBS_FULL,
+                            quad_points=3).element_matrices(0)
         eigvals = np.linalg.eigvalsh(em.k)
         tol = 1e-9 * eigvals.max()
         assert np.sum(np.abs(eigvals) < tol) == 3
@@ -45,8 +39,8 @@ class TestStandardElement:
         assert np.sum(np.abs(np.linalg.eigvalsh(constrained)) < tol) == 0
 
     def test_translation_in_kernel(self, quarter_circle):
-        em = element_stiffness_standard(quarter_circle, CrossSection(1e4, 1.0),
-                                        0, gauss_rule(3))
+        em = PatchOperators(quarter_circle, CrossSection(1e4, 1.0),
+                            ElementFormulation.NURBS_FULL, quad_points=3).element_matrices(0)
         for mode in ([1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]):
             residual = em.k @ np.asarray(mode, dtype=float)
             assert np.abs(residual).max() < 1e-9 * np.abs(em.k).max()
@@ -113,9 +107,11 @@ class TestCas:
         greville = greville_abscissae(rod.knot_vector)
         u = np.column_stack([greville, np.zeros_like(greville)]).reshape(-1)
         section = CrossSection(ea=123.0, ei=1.0)
+        cas = PatchOperators(rod, section, ElementFormulation.CAS, quad_points=3)
+        std = PatchOperators(rod, section, ElementFormulation.NURBS_FULL, quad_points=3)
         for e in range(3):
-            k_cas = element_stiffness_cas(rod, section, e, gauss_rule(3)).k
-            k_std = element_stiffness_standard(rod, section, e, gauss_rule(3)).k
+            k_cas = cas.element_matrices(e).k
+            k_std = std.element_matrices(e).k
             ue = u[2 * e:2 * e + 6]
             assert ue @ k_cas @ ue == pytest.approx(ue @ k_std @ ue, rel=1e-10)
 
@@ -226,9 +222,10 @@ class TestLocalAns:
 class TestGlobalBbar:
     def test_single_element_patch_equals_local_bbar(self, quarter_circle):
         section = CrossSection(1e4, 1.0)
-        k_patch = patch_stiffness_global_bbar(quarter_circle, section, gauss_rule(3))
-        k_local = element_stiffness_local_bbar(quarter_circle, section, 0,
-                                               gauss_rule(3)).k
+        k_patch = banded.to_dense(PatchOperators(
+            quarter_circle, section, ElementFormulation.GLOBAL_BBAR, quad_points=3).stiffness_band())
+        k_local = PatchOperators(quarter_circle, section, ElementFormulation.LOCAL_BBAR,
+                                 quad_points=3).element_matrices(0).k
         np.testing.assert_allclose(k_patch, k_local, rtol=0,
                                    atol=1e-12 * np.abs(k_local).max())
 
@@ -304,13 +301,14 @@ class TestStraightRodEquivalence:
 class TestFieldRecovery:
     def test_zero_displacement_zero_force(self, quarter_circle):
         u = np.zeros((3, 2))
-        n = membrane_force_field(ElementFormulation.CAS, quarter_circle,
-                                 UNIT_SECTION, u, np.linspace(0, 1, 7))
+        ops = PatchOperators(quarter_circle, UNIT_SECTION, ElementFormulation.CAS)
+        n = ops.membrane_force_profile(u, np.linspace(0, 1, 7))
         np.testing.assert_array_equal(n, 0.0)
 
     def test_rigid_translation_zero_moment(self, quarter_circle):
         u = np.tile([0.4, 0.7], (3, 1))
-        m = bending_moment_field(quarter_circle, UNIT_SECTION, u, [0.3, 0.6])
+        ops = PatchOperators(quarter_circle, UNIT_SECTION, ElementFormulation.NURBS_FULL)
+        m = ops.bending_moment_profile(u, [0.3, 0.6])
         np.testing.assert_allclose(m, 0.0, atol=1e-12)
 
     def test_tip_moment_gives_constant_moment_field(self):
@@ -323,7 +321,8 @@ class TestFieldRecovery:
         t = rod.knot_vector.knots * 2.0  # knots scaled to arc length
         coeff = np.array([t[b + 1] * t[b + 2] for b in range(rod.n_basis)])
         u = np.column_stack([np.zeros_like(coeff), coeff * m0 / (2 * section.ei)])
-        m = bending_moment_field(rod, section, u, np.linspace(1e-9, 1 - 1e-9, 21))
+        ops = PatchOperators(rod, section, ElementFormulation.NURBS_FULL)
+        m = ops.bending_moment_profile(u, np.linspace(1e-9, 1 - 1e-9, 21))
         np.testing.assert_allclose(m, m0, rtol=1e-9)
 
     def test_cas_ring_membrane_force_accuracy(self):
@@ -366,6 +365,17 @@ class TestFormulationDefaults:
             expected = 2 if form is ElementFormulation.NURBS_REDUCED else 3
             assert form.default_quad_points(2) == expected
 
+    def test_zero_quad_points_rejected(self, quarter_circle):
+        # 0 is an invalid rule, not a request for the default one
+        from casrod import LoadSpec, assemble
+
+        with pytest.raises(ValueError, match="n_pts"):
+            PatchOperators(quarter_circle, UNIT_SECTION, ElementFormulation.CAS, 0)
+        with pytest.raises(ValueError, match="n_pts"):
+            assemble(quarter_circle, UNIT_SECTION, ElementFormulation.CAS, LoadSpec(), 0)
+        with pytest.raises(ValueError, match="n_pts"):
+            solve_problem(build_ring_quarter(2, 1e4), ElementFormulation.CAS, 0)
+
     def test_rejects_c0_discretizations(self):
         from casrod import NurbsCurve, make_open_uniform_knot_vector
 
@@ -375,18 +385,3 @@ class TestFormulationDefaults:
         with pytest.raises(ValueError, match="C1"):
             PatchOperators(curve, UNIT_SECTION, ElementFormulation.CAS)
 
-
-class TestConvenienceWrappers:
-    def test_wrappers_match_patch_operators(self, quarter_circle):
-        section = CrossSection(1e4, 1.0)
-        quad = gauss_rule(3)
-        for wrapper, form in [
-            (element_stiffness_standard, ElementFormulation.NURBS_FULL),
-            (element_stiffness_cas, ElementFormulation.CAS),
-            (element_stiffness_local_bbar, ElementFormulation.LOCAL_BBAR),
-            (element_stiffness_local_ans, ElementFormulation.LOCAL_ANS),
-        ]:
-            em = wrapper(quarter_circle, section, 0, quad)
-            ops = PatchOperators(quarter_circle, section, form)
-            np.testing.assert_array_equal(em.k, ops.element_matrices(0).k)
-            np.testing.assert_array_equal(em.dof_map, [0, 1, 2, 3, 4, 5])

@@ -3,23 +3,14 @@
 import numpy as np
 import pytest
 
-from casrod import (
-    KnotVector,
-    NurbsCurve,
-    bspline_basis,
-    evaluate_geometry,
-    frame_at,
-    greville_abscissae,
-    insert_knot,
-    make_open_uniform_knot_vector,
-    nurbs_basis,
-    refine_uniform,
-)
+from casrod import KnotVector, NurbsCurve, evaluate_geometry, make_open_uniform_knot_vector
 from casrod.errors import OutOfDomainError
+from casrod.rod import frames_at
 from casrod.splines import bspline_basis_many, nurbs_basis_many
 
 from conftest import CONIC_W
-from oracles import arc_length_at, arc_lengths_at, element_arc_lengths
+from oracles import (arc_length_at, arc_lengths_at, element_arc_lengths,
+                     greville_abscissae, insert_knot, refine_uniform)
 
 
 def naive_cox_de_boor(t, p, i, xi):
@@ -70,71 +61,77 @@ class TestKnotVector:
             KnotVector(2, [0, 0, 0, 0.6, 0.4, 1, 1, 1])
 
     def test_find_span_right_end(self):
+        # xi = 1 belongs to the last nonzero span
         kv = make_open_uniform_knot_vector(2, 4)
-        assert kv.find_span(1.0) == kv.find_span(0.99)
+        first = bspline_basis_many(kv, [1.0, 0.99]).first_active
+        assert first[0] == first[1] == kv.n_basis - 3
 
 
 class TestBsplineBasis:
     def test_bernstein_midpoint(self):
         kv = make_open_uniform_knot_vector(2, 1)
-        be = bspline_basis(kv, 0.5)
-        np.testing.assert_allclose(be.values, [0.25, 0.5, 0.25], atol=1e-15)
+        be = bspline_basis_many(kv, [0.5])
+        np.testing.assert_allclose(be.values[0], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_bernstein_endpoint_derivatives(self):
         kv = make_open_uniform_knot_vector(2, 1)
-        be = bspline_basis(kv, 0.0)
-        np.testing.assert_allclose(be.values, [1.0, 0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(be.d1, [-2.0, 2.0, 0.0], atol=1e-15)
+        be = bspline_basis_many(kv, [0.0])
+        np.testing.assert_allclose(be.values[0], [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(be.d1[0], [-2.0, 2.0, 0.0], atol=1e-15)
 
     def test_against_naive_recursion(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         xi = 0.25
-        be = bspline_basis(kv, xi)
-        expected = [naive_cox_de_boor(kv.knots, 2, i, xi)
-                    for i in range(be.first_active, be.first_active + 3)]
-        np.testing.assert_allclose(be.values, expected, atol=1e-14)
-        assert abs(be.values.sum() - 1.0) < 1e-14
-        assert abs(be.d1.sum()) < 1e-13
+        bb = bspline_basis_many(kv, [xi])
+        first, values, d1 = bb.first_active[0], bb.values[0], bb.d1[0]
+        expected = [naive_cox_de_boor(kv.knots, 2, i, xi) for i in range(first, first + 3)]
+        np.testing.assert_allclose(values, expected, atol=1e-14)
+        assert abs(values.sum() - 1.0) < 1e-14
+        assert abs(d1.sum()) < 1e-13
 
     def test_against_naive_recursion_many_points(self):
         kv = make_open_uniform_knot_vector(3, 5)
         rng = np.random.default_rng(7)
-        for xi in rng.uniform(0, 0.999, 25):
-            be = bspline_basis(kv, xi)
-            expected = [naive_cox_de_boor(kv.knots, 3, i, xi)
-                        for i in range(be.first_active, be.first_active + 4)]
-            np.testing.assert_allclose(be.values, expected, atol=1e-13)
+        xis = rng.uniform(0, 0.999, 25)
+        bb = bspline_basis_many(kv, xis)
+        for xi, first, values in zip(xis, bb.first_active, bb.values):
+            expected = [naive_cox_de_boor(kv.knots, 3, i, xi) for i in range(first, first + 4)]
+            np.testing.assert_allclose(values, expected, atol=1e-13)
 
     def test_derivatives_match_finite_differences(self):
         kv = make_open_uniform_knot_vector(2, 4)
         h = 1e-6
-        for xi in (0.1, 0.33, 0.62, 0.9):
-            plus = bspline_basis(kv, xi + h).values
-            minus = bspline_basis(kv, xi - h).values
-            d1 = bspline_basis(kv, xi).d1
-            np.testing.assert_allclose(d1, (plus - minus) / (2 * h), rtol=1e-6, atol=1e-6)
+        xis = np.array([0.1, 0.33, 0.62, 0.9])
+        plus = bspline_basis_many(kv, xis + h).values
+        minus = bspline_basis_many(kv, xis - h).values
+        d1 = bspline_basis_many(kv, xis).d1
+        for i in range(len(xis)):
+            np.testing.assert_allclose(d1[i], (plus[i] - minus[i]) / (2 * h),
+                                       rtol=1e-6, atol=1e-6)
 
     def test_second_derivative_matches_finite_differences(self):
         kv = make_open_uniform_knot_vector(2, 4)
         h = 1e-6
-        for xi in (0.1, 0.33, 0.62, 0.9):
-            plus = bspline_basis(kv, xi + h).d1
-            minus = bspline_basis(kv, xi - h).d1
-            d2 = bspline_basis(kv, xi).d2
-            np.testing.assert_allclose(d2, (plus - minus) / (2 * h), rtol=1e-5, atol=1e-5)
+        xis = np.array([0.1, 0.33, 0.62, 0.9])
+        plus = bspline_basis_many(kv, xis + h).d1
+        minus = bspline_basis_many(kv, xis - h).d1
+        d2 = bspline_basis_many(kv, xis).d2
+        for i in range(len(xis)):
+            np.testing.assert_allclose(d2[i], (plus[i] - minus[i]) / (2 * h),
+                                       rtol=1e-5, atol=1e-5)
 
     def test_out_of_domain(self):
         kv = make_open_uniform_knot_vector(2, 2)
         with pytest.raises(OutOfDomainError):
-            bspline_basis(kv, 1.2)
+            bspline_basis_many(kv, [1.2])
         with pytest.raises(OutOfDomainError):
-            bspline_basis(kv, -0.1)
+            bspline_basis_many(kv, [-0.1])
 
     @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf, 1.2, -0.1])
     @pytest.mark.parametrize("evaluate", [
-        lambda curve, xi: bspline_basis(curve.knot_vector, xi),
+        lambda curve, xi: bspline_basis_many(curve.knot_vector, [xi]),
         lambda curve, xi: nurbs_basis_many(curve, [0.5, xi]),
-        frame_at,
+        lambda curve, xi: frames_at(curve, [xi]),
         lambda curve, xi: arc_lengths_at(curve, [0.5, xi]),
     ], ids=["bspline_basis", "nurbs_basis_many", "frame_at", "arc_lengths_at"])
     def test_non_finite_and_out_of_domain_rejected(self, quarter_ellipse, evaluate, xi):
@@ -142,36 +139,38 @@ class TestBsplineBasis:
             evaluate(refine_uniform(quarter_ellipse), xi)
 
     def test_batch_matches_scalar(self):
+        # each row of a mixed batch equals the batch of that one point
         kv = make_open_uniform_knot_vector(2, 6)
         rng = np.random.default_rng(3)
         xis = np.concatenate([rng.uniform(0, 1, 40), [0.0, 1.0], kv.breakpoints[1:-1]])
         batch = bspline_basis_many(kv, xis)
         for i, xi in enumerate(xis):
-            be = bspline_basis(kv, float(xi))
-            assert batch.first_active[i] == be.first_active
-            np.testing.assert_array_equal(batch.values[i], be.values)
-            np.testing.assert_array_equal(batch.d1[i], be.d1)
-            np.testing.assert_array_equal(batch.d2[i], be.d2)
+            one = bspline_basis_many(kv, [xi])
+            assert batch.first_active[i] == one.first_active[0]
+            np.testing.assert_array_equal(batch.values[i], one.values[0])
+            np.testing.assert_array_equal(batch.d1[i], one.d1[0])
+            np.testing.assert_array_equal(batch.d2[i], one.d2[0])
 
 
 class TestNurbsBasis:
     def test_equal_weights_reduce_to_bspline(self, quarter_circle):
         curve = NurbsCurve(quarter_circle.knot_vector, quarter_circle.control_points,
                            np.full(3, 2.5))
-        for xi in (0.0, 0.3, 0.75, 1.0):
-            rational = nurbs_basis(curve, xi)
-            poly = bspline_basis(curve.knot_vector, xi)
-            np.testing.assert_allclose(rational.values, poly.values, atol=1e-15)
-            np.testing.assert_allclose(rational.d1, poly.d1, atol=1e-13)
-            np.testing.assert_allclose(rational.d2, poly.d2, atol=1e-12)
+        xis = [0.0, 0.3, 0.75, 1.0]
+        rational = nurbs_basis_many(curve, xis)
+        poly = bspline_basis_many(curve.knot_vector, xis)
+        for i in range(len(xis)):
+            np.testing.assert_allclose(rational.values[i], poly.values[i], atol=1e-15)
+            np.testing.assert_allclose(rational.d1[i], poly.d1[i], atol=1e-13)
+            np.testing.assert_allclose(rational.d2[i], poly.d2[i], atol=1e-12)
 
     def test_quarter_circle_midpoint_values(self, quarter_circle):
         # hand evaluation of the rational quotient at xi = 0.5
-        be = nurbs_basis(quarter_circle, 0.5)
+        values = nurbs_basis_many(quarter_circle, [0.5]).values[0]
         denom = 0.25 + 0.5 * CONIC_W + 0.25
         np.testing.assert_allclose(
-            be.values, [0.25 / denom, 0.5 * CONIC_W / denom, 0.25 / denom], atol=1e-14)
-        assert abs(be.values.sum() - 1.0) < 1e-14
+            values, [0.25 / denom, 0.5 * CONIC_W / denom, 0.25 / denom], atol=1e-14)
+        assert abs(values.sum() - 1.0) < 1e-14
 
     def test_partition_of_unity_random_weights(self):
         rng = np.random.default_rng(42)
@@ -180,21 +179,21 @@ class TestNurbsBasis:
             weights = rng.uniform(0.2, 3.0, kv.n_basis)
             pts = rng.uniform(0.2, 1.2, (kv.n_basis, 2))
             curve = NurbsCurve(kv, pts, weights)
-            for xi in rng.uniform(0, 1, 200):
-                be = nurbs_basis(curve, float(xi))
-                assert abs(be.values.sum() - 1.0) < 1e-12
-                assert abs(be.d1.sum()) < 1e-12
-                assert abs(be.d2.sum()) < 1e-10
+            bb = nurbs_basis_many(curve, rng.uniform(0, 1, 200))
+            for values, d1, d2 in zip(bb.values, bb.d1, bb.d2):
+                assert abs(values.sum() - 1.0) < 1e-12
+                assert abs(d1.sum()) < 1e-12
+                assert abs(d2.sum()) < 1e-10
 
     def test_batch_matches_scalar(self, quarter_ellipse):
         rng = np.random.default_rng(5)
         xis = rng.uniform(0, 1, 30)
         batch = nurbs_basis_many(quarter_ellipse, xis)
         for i, xi in enumerate(xis):
-            be = nurbs_basis(quarter_ellipse, float(xi))
-            np.testing.assert_array_equal(batch.values[i], be.values)
-            np.testing.assert_array_equal(batch.d1[i], be.d1)
-            np.testing.assert_array_equal(batch.d2[i], be.d2)
+            one = nurbs_basis_many(quarter_ellipse, [xi])
+            np.testing.assert_array_equal(batch.values[i], one.values[0])
+            np.testing.assert_array_equal(batch.d1[i], one.d1[0])
+            np.testing.assert_array_equal(batch.d2[i], one.d2[0])
 
 
 class TestGeometry:
@@ -274,7 +273,8 @@ class TestGreville:
     def test_linear_precision(self):
         kv = make_open_uniform_knot_vector(2, 5)
         greville = greville_abscissae(kv)
-        for xi in np.linspace(0, 1, 20):
-            be = bspline_basis(kv, float(xi))
-            active = greville[be.first_active:be.first_active + 3]
-            assert abs(be.values @ active - xi) < 1e-13
+        xis = np.linspace(0, 1, 20)
+        bb = bspline_basis_many(kv, xis)
+        for xi, first, values in zip(xis, bb.first_active, bb.values):
+            active = greville[first:first + 3]
+            assert abs(values @ active - xi) < 1e-13
