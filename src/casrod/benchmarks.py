@@ -154,8 +154,8 @@ def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
     along x, acts at A = (R, 0). The section thickness entering the exact
     point values is estimated as t = sqrt(EI/EA).
     """
-    if ea <= 0.0:
-        raise ValueError(f"EA must be positive, got {ea}")
+    if not 0.0 < ea < math.inf:
+        raise ValueError(f"EA must be positive and finite, got {ea}")
     p_load, radius, ei = 1.0, 1.0, 1.0
     base = NurbsCurve(
         KnotVector(2, [0, 0, 0, 1, 1, 1]),
@@ -206,6 +206,7 @@ def _arch_exact(t: float):
     q = 1e6 * t**3
     ea = young * t * width
     ei = young * t**3 * width / 12.0
+    CrossSection(ea, ei)  # rejects a t whose EA or EI is not positive and finite
     c1 = 0.5 * (radius / ea + radius**3 / ei)
     c2 = radius**3 / ei
     c3 = radius**2 / ei
@@ -248,8 +249,8 @@ def _arch_exact(t: float):
 def build_arch_half(n_elements: int, t: float) -> BenchmarkProblem:
     """Clamped-clamped semicircular arch under q per unit horizontal length,
     half model: clamped base at (-R, 0), symmetry at the crown (0, R)."""
-    if t <= 0.0:
-        raise ValueError(f"thickness must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"thickness must be positive and finite, got {t}")
     _, _, exact_u, exact_n, exact_m, params = _arch_exact(t)
     radius, q = params["radius"], params["q"]
     base = NurbsCurve(
@@ -296,8 +297,8 @@ def build_ellipse_quarter(n_elements: int, t: float,
     Passing with_reference_checks=True attaches free-end point checks against
     the fine-mesh reference solve (computed once per thickness and cached).
     """
-    if t <= 0.0:
-        raise ValueError(f"thickness must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"thickness must be positive and finite, got {t}")
     a_ax, b_ax, young, width = 2.0, 1.0, 7.0e10, 0.1
     p_load = 1e7 * t**3
     base = NurbsCurve(

@@ -104,8 +104,8 @@ class RunConfig:
             raise ValueError("start_elements must be >= 1")
         if self.quad_points is not None and self.quad_points not in (2, 3):
             raise ValueError("quad_points must be 2 or 3")
-        if not self.slenderness or any(s <= 0 for s in self.slenderness):
-            raise ValueError("slenderness values must be positive")
+        if not self.slenderness or not all(0 < s < np.inf for s in self.slenderness):
+            raise ValueError("slenderness values must be positive and finite")
 
 
 def _build(problem: str, n_elements: int, slenderness: float,

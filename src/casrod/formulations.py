@@ -26,7 +26,9 @@ from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
-from scipy.linalg import solveh_banded
+from scipy.linalg import cholesky_banded, solveh_banded
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dtbtrs
 
 from . import banded
 from .quadrature import gauss_rule
@@ -75,6 +77,11 @@ def _bending_rows(fb: FrameBatch) -> np.ndarray:
     b[:, 0::2] = fb.a2[:, 0:1] * fb.d2N_ds2 + fb.da2_ds[:, 0:1] * fb.dN_ds
     b[:, 1::2] = fb.a2[:, 1:2] * fb.d2N_ds2 + fb.da2_ds[:, 1:2] * fb.dN_ds
     return b
+
+
+def _weighted_gram(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_q w[e, q] rows[e, q, i] rows[e, q, j] per element, by batched matmul."""
+    return np.swapaxes(rows * w[:, :, None], 1, 2) @ rows
 
 
 def _linear_pair(xhat, node: float) -> np.ndarray:
@@ -131,15 +138,13 @@ class PatchOperators:
         self.brows = _bending_rows(fq).reshape(n_el, nq, 2 * (p + 1))
         self.wds = fq.jac.reshape(n_el, nq) * halves[:, None] * self.quad.weights
 
-        self._kb = np.einsum("eq,eqi,eqj->eij", section.ei * self.wds,
-                             self.brows, self.brows)
+        self._kb = _weighted_gram(section.ei * self.wds, self.brows)
         self._km = None
         self._pair = None  # (strain rows, node) of the assumed-strain pair forms
         self._patch_projection = None
 
         if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
-            self._km = np.einsum("eq,eqi,eqj->eij", section.ea * self.wds,
-                                 self.mrows, self.mrows)
+            self._km = _weighted_gram(section.ea * self.wds, self.mrows)
         elif form is not ElementFormulation.GLOBAL_BBAR:
             node = _GAUSS2_NODE if form is ElementFormulation.LOCAL_ANS else 1.0
             mass = self._pair_mass(node)
@@ -161,26 +166,26 @@ class PatchOperators:
     def _pair_mass(self, node: float) -> np.ndarray:
         """Per-element 2x2 arc-measure mass of the linear pair functions."""
         lvals = _linear_pair(self.quad.points, node)
-        return np.einsum("eq,ql,qm->elm", self.wds, lvals, lvals)
+        outer = lvals[:, :, None] * lvals[:, None, :]
+        return (self.wds @ outer.reshape(len(lvals), 4)).reshape(-1, 2, 2)
+
+    def _pair_moments(self) -> np.ndarray:
+        """Per element, the integrals of the strain rows against the linear
+        pair with nodes at the element ends: (n_el, 2, 2(p+1))."""
+        lvals = _linear_pair(self.quad.points, 1.0)
+        return (self.wds[:, None, :] * lvals.T) @ self.mrows
 
     def _pair_stiffness(self, mass: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """EA * rows^T M rows per element, for 2 x (2(p+1)) strain rows."""
-        return self.section.ea * np.einsum("eli,elj->eij", rows,
-                                           np.einsum("elm,emj->elj", mass, rows))
+        return self.section.ea * (np.swapaxes(rows, 1, 2) @ (mass @ rows))
 
     def _local_projection(self, mass: np.ndarray) -> np.ndarray:
         """Element-local L2 projection of the strain rows onto the linear pair."""
-        lvals = _linear_pair(self.quad.points, 1.0)
-        rhs = np.einsum("eq,ql,eqi->eli", self.wds, lvals, self.mrows)
+        rhs = self._pair_moments()
         det = mass[:, 0, 0] * mass[:, 1, 1] - mass[:, 0, 1] * mass[:, 1, 0]
         assert np.all(det > 0.0), "singular element mass on a nonzero span"
-        inv = np.empty_like(mass)
-        inv[:, 0, 0] = mass[:, 1, 1]
-        inv[:, 1, 1] = mass[:, 0, 0]
-        inv[:, 0, 1] = -mass[:, 0, 1]
-        inv[:, 1, 0] = -mass[:, 1, 0]
-        inv /= det[:, None, None]
-        return np.einsum("elm,emi->eli", inv, rhs)
+        adjugate = np.stack([mass[:, 1, 1], -mass[:, 0, 1], -mass[:, 1, 0], mass[:, 0, 0]], 1)
+        return (adjugate.reshape(-1, 2, 2) / det[:, None, None]) @ rhs
 
     def _cas_pair_rows(self, fb: FrameBatch) -> np.ndarray:
         """Membrane strain rows at both end knots of every element.
@@ -241,7 +246,9 @@ class PatchOperators:
             for a in range(b + 1):
                 ab[hb + a - b, b:b + 2 * len(blocks):2] += blocks[:, a, b]
         if dense:
-            ab += banded.from_dense(self.patch_membrane_matrix(), hb)
+            # the transpose of the Fortran-ordered lower triangle is the
+            # C-ordered upper one, the only part from_dense reads
+            ab += banded.from_dense(self._membrane_lower().T, hb)
         return ab
 
     # -- patch-level membrane operator for the global B-bar method ------------
@@ -251,29 +258,36 @@ class PatchOperators:
         if self._patch_projection is None:
             n_el = self.curve.n_elements
             n_dof = 2 * self.curve.n_basis
-            lvals = _linear_pair(self.quad.points, 1.0)
-            gel = np.einsum("eq,ql,eqi->eli", self.wds, lvals, self.mrows)
+            gel = self._pair_moments()
             mel = self._pair_mass(node=1.0)
             g = np.zeros((n_el + 1, n_dof))
-            main = np.zeros(n_el + 1)
-            upper = np.zeros(n_el + 1)
+            ab = np.zeros((2, n_el + 1))  # upper band form: superdiagonal, diagonal
             # g[e + l, 2e:] += gel[e, l]: at most two terms per entry, exact in any order
             step = (g.strides[0] + 2 * g.strides[1], g.strides[1])
             for l in (0, 1):
                 as_strided(g[l:], gel[:, l].shape, step)[:] += gel[:, l]
-            main[:-1] += mel[:, 0, 0]
-            main[1:] += mel[:, 1, 1]
-            upper[1:] += mel[:, 0, 1]
-            ab = np.vstack([upper, main])  # upper banded form for solveh_banded
+            ab[1, :-1] += mel[:, 0, 0]
+            ab[1, 1:] += mel[:, 1, 1]
+            ab[0, 1:] += mel[:, 0, 1]
             self._patch_projection = (ab, g)
         return self._patch_projection
 
+    def _membrane_lower(self) -> np.ndarray:
+        """EA * G^T M^-1 G, lower triangle only, in Fortran order.
+
+        With the banded Cholesky factor M = U^T U and Y = U^-T G the matrix
+        is EA * Y^T Y: one triangular band solve, then one symmetric rank-k
+        update, which does half the flops of a general product.
+        """
+        ab, g = self._global_projection()
+        y, info = dtbtrs(cholesky_banded(ab), g, trans="T")
+        assert info == 0, f"dtbtrs info {info}"
+        return dsyrk(self.section.ea, y, trans=1, lower=1)
+
     def patch_membrane_matrix(self) -> np.ndarray:
         """Dense patch membrane stiffness EA * G^T M^-1 G (global B-bar)."""
-        ab, g = self._global_projection()
-        coeff = solveh_banded(ab, g)
-        k = self.section.ea * g.T @ coeff
-        return 0.5 * (k + k.T)
+        k = self._membrane_lower()
+        return k + np.tril(k, -1).T
 
     # -- post-solve field recovery ---------------------------------------------
 

@@ -17,7 +17,7 @@ from .benchmarks import BenchmarkProblem
 from .errors import InsufficientDataError, MissingExactFieldError
 from .rod import frames_at
 from .quadrature import _legendre
-from .splines import nurbs_basis_many
+from .splines import combine, nurbs_basis_many
 
 __all__ = [
     "ErrorReport",
@@ -64,14 +64,7 @@ def displacement_at(solution: RodSolution, xi) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=float)
     bb = nurbs_basis_many(solution.curve, xi.reshape(-1), max_deriv=0)
-    return _interpolate(solution.u, bb).reshape(xi.shape + (2,))
-
-
-def _interpolate(control: np.ndarray, basis) -> np.ndarray:
-    """sum_j R_j control[j] at the points of a BasisBatch or FrameBatch, shape (m, 2):
-    u^h for the control displacements, the curve point r for the control net."""
-    rows = control[basis.first_active[:, None] + np.arange(basis.values.shape[1])]
-    return np.einsum("mj,mjc->mc", basis.values, rows)
+    return combine(solution.u, bb.first_active, bb.values).reshape(xi.shape + (2,))
 
 
 def _gauss_points(a: np.ndarray, b: np.ndarray, nodes: np.ndarray):
@@ -113,7 +106,7 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
     batch = frames_at(curve, np.concatenate([xis, [c.xi for c in checks]]))
     fb = batch[:m]
     wds = (fb.jac.reshape(curve.n_elements, -1) * halves[:, None] * rule.weights).reshape(-1)
-    phis = problem.angle_map(_interpolate(curve.control_points, fb))
+    phis = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values))
 
     def relative(approx, exact):  # of a field with one scalar or one 2-vector per point
         num, den = (float(np.sum(wds * (v**2).reshape(m, -1).sum(axis=1)))
@@ -122,15 +115,15 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
 
     e_u = e_n = e_m = None
     if problem.exact_u is not None:
-        e_u = relative(_interpolate(solution.u, fb), problem.exact_u(phis))
+        e_u = relative(combine(solution.u, fb.first_active, fb.values), problem.exact_u(phis))
     if problem.exact_n is not None:
         e_n = relative(solution.ops.membrane_force_profile(solution.u, xis, fb),
                        problem.exact_n(phis))
     if problem.exact_m is not None:
         e_m = relative(solution.ops.bending_moment_profile(solution.u, xis, fb),
                        problem.exact_m(phis))
-    return ErrorReport(e_u=e_u, e_n=e_n, e_m=e_m,
-                       point_errors=_point_errors(checks, _interpolate(solution.u, batch[m:])))
+    u_checks = combine(solution.u, batch.first_active[m:], batch.values[m:])
+    return ErrorReport(e_u=e_u, e_n=e_n, e_m=e_m, point_errors=_point_errors(checks, u_checks))
 
 
 def _nudge_off_knots(xis: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:
@@ -170,8 +163,8 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
     fb = batch[:n_samples]
     n_h = solution.ops.membrane_force_profile(solution.u, xis, fb)
     m_h = solution.ops.bending_moment_profile(solution.u, xis, fb)
-    u_h = _interpolate(solution.u, fb)
-    phi = problem.angle_map(_interpolate(curve.control_points, fb))
+    u_h = combine(solution.u, fb.first_active, fb.values)
+    phi = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values))
     missing = np.full(n_samples, np.nan)
     n_ex = missing if problem.exact_n is None else problem.exact_n(phi)
     m_ex = missing if problem.exact_m is None else problem.exact_m(phi)

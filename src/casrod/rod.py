@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateParametrizationError
-from .splines import NurbsCurve, nurbs_basis_many
+from .splines import NurbsCurve, combine, nurbs_basis_many
 
 __all__ = ["ROT90", "FrameBatch", "CrossSection", "ControlDisplacements", "frames_at"]
 
@@ -32,8 +32,8 @@ class CrossSection:
     ei: float
 
     def __post_init__(self):
-        if self.ea <= 0.0 or self.ei <= 0.0:
-            raise ValueError("EA and EI must be positive")
+        if not (0.0 < self.ea < np.inf and 0.0 < self.ei < np.inf):  # NaN fails too
+            raise ValueError(f"EA and EI must be positive and finite, got {self.ea}, {self.ei}")
 
     @classmethod
     def rectangular(cls, young_modulus: float, thickness: float, width: float) -> CrossSection:
@@ -89,9 +89,8 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     bb = nurbs_basis_many(curve, xis, max_deriv=2)
-    q = curve.control_points[bb.first_active[:, None] + np.arange(curve.degree + 1)]
-    r1 = np.einsum("mj,mjc->mc", bb.d1, q)
-    r2 = np.einsum("mj,mjc->mc", bb.d2, q)
+    r1 = combine(curve.control_points, bb.first_active, bb.d1)
+    r2 = combine(curve.control_points, bb.first_active, bb.d2)
     jac = np.hypot(r1[:, 0], r1[:, 1])
     if np.any(jac < _MIN_JACOBIAN):
         raise DegenerateParametrizationError(

@@ -2,7 +2,8 @@
 
 The parametric domain is fixed to [0, 1]. Knot vectors are open with no repeated
 interior knots, so the basis has maximal C^(p-1) continuity and every nonzero
-knot span acts as one element.
+knot span acts as one element. The basis kernel is Piegl & Tiller's triangle
+(The NURBS Book, algorithms A2.2 and A2.3), vectorized over the points.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "make_open_uniform_knot_vector",
     "bspline_basis_many",
     "nurbs_basis_many",
+    "combine",
     "evaluate_geometry",
 ]
 
@@ -137,65 +139,47 @@ def _find_spans(kv: KnotVector, xis: np.ndarray) -> np.ndarray:
     return np.clip(k, kv.degree, len(kv.knots) - kv.degree - 2).astype(int)
 
 
-def _masked_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num/den with the 0/0 convention: zero wherever the span width is zero."""
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0.0)
-    return out
-
-
-def _value_triangle_many(t: np.ndarray, p: int, k: np.ndarray,
-                         xis: np.ndarray) -> list[np.ndarray]:
-    tri = [np.ones((len(xis), 1))]
-    for d in range(1, p + 1):
-        prev = tri[d - 1]
-        cur = np.zeros((len(xis), d + 1))
-        for j in range(d + 1):
-            i = k - d + j
-            acc = np.zeros(len(xis))
-            if j >= 1:
-                acc += _masked_ratio(xis - t[i], t[i + d] - t[i]) * prev[:, j - 1]
-            if j <= d - 1:
-                acc += _masked_ratio(t[i + d + 1] - xis, t[i + d + 1] - t[i + 1]) * prev[:, j]
-            cur[:, j] = acc
-        tri.append(cur)
-    return tri
-
-
-def _derivative_step_many(lower: np.ndarray, d: int, k: np.ndarray,
-                          t: np.ndarray) -> np.ndarray:
-    out = np.zeros((lower.shape[0], d + 1))
-    for j in range(d + 1):
-        i = k - d + j
-        acc = np.zeros(lower.shape[0])
-        if j >= 1:
-            acc += _masked_ratio(lower[:, j - 1], t[i + d] - t[i])
-        if j <= d - 1:
-            acc -= _masked_ratio(lower[:, j], t[i + d + 1] - t[i + 1])
-        out[:, j] = d * acc
+def _difference_step(x: np.ndarray) -> np.ndarray:
+    """Rows x[j-1] - x[j] for j = 0..n, with x[-1] = x[n] = 0."""
+    out = np.zeros((x.shape[0] + 1, x.shape[1]))
+    out[1:] = x
+    out[:-1] -= x
     return out
 
 
 def bspline_basis_many(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
     """Nonzero B-spline basis values and parametric derivatives at each xi.
 
-    Derivatives use the standard degree-reduction formula rather than
-    differentiating the recursion, for numerical stability.
+    Level j of the triangle turns the j nonzero degree-(j-1) functions N
+    into j+1 degree-j ones through the ratios N_r / (t[k+1+r] - t[k+1-j+r]).
+    Every denominator contains the point's nonzero span [t[k], t[k+1]], so
+    none is zero. Derivatives reuse the ratios of the top levels (the
+    degree-reduction formula). Row r of each step holds function r at every
+    point, so each step runs over all points at once.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     p, t = kv.degree, kv.knots
     k = _find_spans(kv, xis)
-    tri = _value_triangle_many(t, p, k, xis)
+    win = t[k + np.arange(1 - p, p + 1)[:, None]]       # rows t[k+1-p] .. t[k+p]
+    left = xis - win[:p]                                 # xi - t[k+1-p+c]
+    right = win[p:] - xis                                # t[k+1+c] - xi
+    values = np.ones((1, len(xis)))
+    ratios = []
+    for j in range(1, p + 1):
+        ratio = values / (win[p:p + j] - win[p - j:p])
+        values = np.zeros((j + 1, len(xis)))
+        values[:j] = right[:j] * ratio
+        values[1:] += left[p - j:] * ratio
+        ratios.append(ratio)
     d1 = d2 = None
     if max_deriv >= 1:
-        d1 = _derivative_step_many(tri[p - 1], p, k, t)
+        d1 = (p * _difference_step(ratios[p - 1])).T
     if max_deriv >= 2:
+        d2 = np.zeros((len(xis), p + 1))
         if p >= 2:
-            dlow = _derivative_step_many(tri[p - 2], p - 1, k, t)
-            d2 = _derivative_step_many(dlow, p, k, t)
-        else:
-            d2 = np.zeros((len(xis), p + 1))
-    return BasisBatch(k - p, tri[p], d1, d2)
+            lower_d1 = (p - 1) * _difference_step(ratios[p - 2])
+            d2 = (p * _difference_step(lower_d1 / (win[p:] - win[:p]))).T
+    return BasisBatch(k - p, values.T, d1, d2)
 
 
 def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
@@ -205,21 +189,30 @@ def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
     holds for the values and the derivative rows sum to zero.
     """
     bb = bspline_basis_many(curve.knot_vector, xis, max_deriv)
-    p = curve.degree
-    w = curve.weights[bb.first_active[:, None] + np.arange(p + 1)]
-    a = w * bb.values
-    wsum = a.sum(axis=1, keepdims=True)
+    # row j holds function j at every point, the layout bspline_basis_many
+    # computes in, so each sum over the p + 1 functions adds whole rows
+    w = np.take(curve.weights, bb.first_active + np.arange(curve.degree + 1)[:, None])
+    a = w * bb.values.T
+    wsum = a.sum(axis=0)
     r = a / wsum
     r1 = r2 = None
     if max_deriv >= 1:
-        a1 = w * bb.d1
-        w1 = a1.sum(axis=1, keepdims=True)
+        a1 = w * bb.d1.T
+        w1 = a1.sum(axis=0)
         r1 = (a1 - r * w1) / wsum
         if max_deriv >= 2:
-            a2 = w * bb.d2
-            w2 = a2.sum(axis=1, keepdims=True)
-            r2 = (a2 - 2.0 * r1 * w1 - r * w2) / wsum
-    return BasisBatch(bb.first_active, r, r1, r2)
+            a2 = w * bb.d2.T
+            r2 = ((a2 - 2.0 * r1 * w1 - r * a2.sum(axis=0)) / wsum).T
+        r1 = r1.T
+    return BasisBatch(bb.first_active, r.T, r1, r2)
+
+
+def combine(control: np.ndarray, first_active: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_j rows[i, j] control[first_active[i] + j] at every point i: a curve
+    quantity from control points, or a field from control displacements."""
+    idx = first_active + np.arange(rows.shape[1])[:, None]
+    # np.take gathers the (p+1, m) rows many times faster than control[idx]
+    return np.einsum("jm,jm...->m...", rows.T, np.take(control, idx, axis=0))
 
 
 def evaluate_geometry(curve: NurbsCurve, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,7 +223,6 @@ def evaluate_geometry(curve: NurbsCurve, xi) -> tuple[np.ndarray, np.ndarray, np
     """
     xi = np.asarray(xi, dtype=float)
     bb = nurbs_basis_many(curve, xi.reshape(-1), max_deriv=2)
-    q = curve.control_points[bb.first_active[:, None] + np.arange(curve.degree + 1)]
-    return tuple(np.einsum("mj,mjc->mc", rows, q).reshape(xi.shape + (2,))
+    return tuple(combine(curve.control_points, bb.first_active, rows).reshape(xi.shape + (2,))
                  for rows in (bb.values, bb.d1, bb.d2))
 

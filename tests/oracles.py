@@ -8,13 +8,16 @@
 - Sequential single-knot insertion: the oracle for the closed-form mesh
   refinement of `benchmarks._refine_to`.
 - Greville abscissae, for exactly representable linear fields.
+- The Cox-de Boor triangle with the degree-reduction derivative formula, one
+  basis function per column and 0/0 read as 0: the oracle for the Piegl-Tiller
+  kernel of `splines.bspline_basis_many`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from casrod.splines import KnotVector, NurbsCurve, _find_spans, nurbs_basis_many
+from casrod.splines import BasisBatch, KnotVector, NurbsCurve, _find_spans, nurbs_basis_many
 
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
 
@@ -113,3 +116,58 @@ def greville_abscissae(kv: KnotVector) -> np.ndarray:
     """Characteristic parametric abscissa of each basis function."""
     p, t = kv.degree, kv.knots
     return np.array([t[b + 1:b + p + 1].mean() for b in range(kv.n_basis)])
+
+
+def _masked_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num/den with the 0/0 convention: zero wherever the span width is zero."""
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den > 0.0)
+    return out
+
+
+def _value_triangle(t: np.ndarray, p: int, k: np.ndarray, xis: np.ndarray) -> list[np.ndarray]:
+    tri = [np.ones((len(xis), 1))]
+    for d in range(1, p + 1):
+        prev = tri[d - 1]
+        cur = np.zeros((len(xis), d + 1))
+        for j in range(d + 1):
+            i = k - d + j
+            acc = np.zeros(len(xis))
+            if j >= 1:
+                acc += _masked_ratio(xis - t[i], t[i + d] - t[i]) * prev[:, j - 1]
+            if j <= d - 1:
+                acc += _masked_ratio(t[i + d + 1] - xis, t[i + d + 1] - t[i + 1]) * prev[:, j]
+            cur[:, j] = acc
+        tri.append(cur)
+    return tri
+
+
+def _derivative_step(lower: np.ndarray, d: int, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    out = np.zeros((lower.shape[0], d + 1))
+    for j in range(d + 1):
+        i = k - d + j
+        acc = np.zeros(lower.shape[0])
+        if j >= 1:
+            acc += _masked_ratio(lower[:, j - 1], t[i + d] - t[i])
+        if j <= d - 1:
+            acc -= _masked_ratio(lower[:, j], t[i + d + 1] - t[i + 1])
+        out[:, j] = d * acc
+    return out
+
+
+def bspline_basis_triangle(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
+    """Nonzero B-spline basis values and parametric derivatives at each xi,
+    by the Cox-de Boor triangle and the degree-reduction derivative formula."""
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    p, t = kv.degree, kv.knots
+    k = _find_spans(kv, xis)
+    tri = _value_triangle(t, p, k, xis)
+    d1 = d2 = None
+    if max_deriv >= 1:
+        d1 = _derivative_step(tri[p - 1], p, k, t)
+    if max_deriv >= 2:
+        if p >= 2:
+            d2 = _derivative_step(_derivative_step(tri[p - 2], p - 1, k, t), p, k, t)
+        else:
+            d2 = np.zeros((len(xis), p + 1))
+    return BasisBatch(k - p, tri[p], d1, d2)

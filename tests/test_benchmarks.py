@@ -207,6 +207,21 @@ class TestEllipseProblem:
             build_ellipse_quarter(4, -0.1)
 
 
+@pytest.mark.parametrize("build, value", [
+    (build_ring_quarter, np.nan), (build_ring_quarter, np.inf),
+    (build_arch_half, np.nan), (build_arch_half, np.inf), (build_arch_half, 1e-300),
+    (build_ellipse_quarter, np.nan), (build_ellipse_quarter, np.inf),
+    (build_ellipse_quarter, 1e-300),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_non_finite_or_underflowing_slenderness_rejected(build, value):
+    # 1e-300 is positive, but t^3 underflows to 0, so EI would be 0
+    with pytest.raises(ValueError, match="positive and finite"):
+        build(4, value)
+    if build is build_arch_half:
+        with pytest.raises(ValueError, match="positive and finite"):
+            _arch_exact(value)  # before any closed-form arithmetic divides by EA or EI
+
+
 class TestSlendernessCases:
     def test_standard_case_lists(self):
         from casrod import standard_slenderness_cases

@@ -77,6 +77,9 @@ class TestConvergeCommand:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ring_config(slenderness=())
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ring_config(slenderness=(1e4, bad))
         with pytest.raises(ValueError):
             ring_config(refinements=-1)
         with pytest.raises(ValueError):
@@ -209,3 +212,17 @@ class TestMainEntry:
         assert main(["converge", "--problem", "ring", "--formulation", "cas",
                      "--slenderness", "1e4", "--refinements", "0"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["converge", "fields"])
+    @pytest.mark.parametrize("problem, value", [
+        ("ring", "nan"), ("ring", "inf"),
+        ("arch", "nan"), ("arch", "inf"), ("arch", "1e-300"),
+        ("ellipse", "nan"), ("ellipse", "inf"), ("ellipse", "1e-300"),
+    ])
+    def test_bad_slenderness_is_a_usage_error(self, capsys, command, problem, value):
+        args = [command, "--problem", problem, "--formulation", "cas", "--slenderness", value]
+        args += ["--refinements", "0"] if command == "converge" else ["--elements", "2"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("casrod: error: ") and err.count("\n") == 1, err
+        assert "positive and finite" in err

@@ -241,12 +241,12 @@ class TestGlobalBbar:
     def test_projection_equals_element_loop(self, n):
         # every entry sums at most two element terms, and a two-term sum does
         # not depend on the order, so the slice-adds equal this loop bit for bit
+        # (the element integrals themselves are checked in test_contractions.py)
         problem = build_arch_half(n, 0.01)
         ops = PatchOperators(problem.curve, problem.section,
                              ElementFormulation.GLOBAL_BBAR)
-        lvals = _linear_pair(ops.quad.points, 1.0)
-        gel = np.einsum("eq,ql,eqi->eli", ops.wds, lvals, ops.mrows)
-        mel = np.einsum("eq,ql,qm->elm", ops.wds, lvals, lvals)
+        gel = ops._pair_moments()
+        mel = ops._pair_mass(node=1.0)
         g = np.zeros((n + 1, 2 * ops.curve.n_basis))
         main = np.zeros(n + 1)
         upper = np.zeros(n + 1)

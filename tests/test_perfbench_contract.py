@@ -1,4 +1,4 @@
-"""The benchmark harness still drives the package: one small job, both paths.
+"""The benchmark harness still drives the package: small jobs, both paths.
 
 `perfbench/stages.py` calls casrod's public functions (and
 `solution_backward_error`, `point_errors`, `ellipse_reference.cache_clear`
@@ -43,3 +43,19 @@ def test_point_error_job_and_reference_cache():
     assert set(plain["points"]) == {"uyC"}
     # worker.py clears the reference cache before every ellipse study
     assert callable(stages.ellipse_reference.cache_clear)
+
+
+def test_ellipse_points_job_with_fresh_reference():
+    # the ellipse workload's CAS job: the traced path regenerates the
+    # reference (two fine-mesh CAS solves) inside its span, as worker.py
+    # does for the first job of every ellipse study
+    job = Job("contract", "ellipse", "cas", 0.04, 8, "points")
+    stages.ellipse_reference.cache_clear()
+    plain = stages.run_plain(job)
+    stages.ellipse_reference.cache_clear()
+    tracer = stages.Tracer()
+    traced, _, _ = stages.run_traced(job, True, tracer)
+    assert plain == traced
+    assert set(plain["points"]) == {"ux_free", "uy_free"}
+    assert stages.ellipse_reference.cache_info().misses == 1
+    assert "benchmarks.reference" in {span[0] for span in tracer.spans}

@@ -155,6 +155,12 @@ class TestConstitutive:
         with pytest.raises(ValueError):
             CrossSection(ea=1.0, ei=-2.0)
 
+    @pytest.mark.parametrize("ea, ei", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                        (1.0, np.inf)])
+    def test_rejects_non_finite(self, ea, ei):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CrossSection(ea, ei)
+
     def test_ring_membrane_force_at_symmetry_point(self):
         # exact section force at phi=0 of the pinched ring: N = -P/2
         problem = build_ring_quarter(4, 1e4)

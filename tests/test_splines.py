@@ -9,8 +9,8 @@ from casrod.rod import frames_at
 from casrod.splines import bspline_basis_many, nurbs_basis_many
 
 from conftest import CONIC_W
-from oracles import (arc_length_at, arc_lengths_at, element_arc_lengths,
-                     greville_abscissae, insert_knot, refine_uniform)
+from oracles import (arc_length_at, arc_lengths_at, bspline_basis_triangle,
+                     element_arc_lengths, greville_abscissae, insert_knot, refine_uniform)
 
 
 def naive_cox_de_boor(t, p, i, xi):
@@ -97,6 +97,29 @@ class TestBsplineBasis:
         for xi, first, values in zip(xis, bb.first_active, bb.values):
             expected = [naive_cox_de_boor(kv.knots, 3, i, xi) for i in range(first, first + 4)]
             np.testing.assert_allclose(values, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("spacing", ["uniform", "graded"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_cox_de_boor_triangle(self, p, n, spacing):
+        rng = np.random.default_rng(1000 * p + n)
+        if spacing == "uniform":
+            kv = make_open_uniform_knot_vector(p, n)
+        else:  # random interior knots: spans of very different widths
+            interior = np.sort(rng.uniform(0.0, 1.0, n - 1))
+            kv = KnotVector(p, np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]))
+        xis = np.concatenate([rng.uniform(0.0, 1.0, 200), kv.breakpoints, [0.0, 1.0]])
+        for max_deriv in (0, 1, 2):
+            got = bspline_basis_many(kv, xis, max_deriv)
+            want = bspline_basis_triangle(kv, xis, max_deriv)
+            np.testing.assert_array_equal(got.first_active, want.first_active)
+            for name in ("values", "d1", "d2")[:max_deriv + 1]:
+                g, w = getattr(got, name), getattr(want, name)
+                scale = np.abs(w).max(axis=1, keepdims=True)
+                assert np.all(np.abs(g - w) <= 1e-14 * scale), name
+            assert all(getattr(got, name) is None for name in ("d1", "d2")[max_deriv:])
+        if p == 1:
+            assert not np.any(got.d2)
 
     def test_derivatives_match_finite_differences(self):
         kv = make_open_uniform_knot_vector(2, 4)
