@@ -15,11 +15,13 @@ factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dpbsv
 
 from . import banded
 from .errors import (DegenerateParametrizationError, NonAxisAlignedRotationError,
@@ -191,12 +193,12 @@ def _end_controls(curve: NurbsCurve, end: str) -> tuple[int, int, int]:
     to the end leg of the control net, so |a2| = (|a1_y|, |a1_x|) needs no curve
     evaluation."""
     b_end, b_adj = (0, 1) if end == "start" else (curve.n_basis - 1, curve.n_basis - 2)
-    leg = curve.control_points[b_adj] - curve.control_points[b_end]
-    length = np.hypot(leg[0], leg[1])
+    leg_x, leg_y = (curve.control_points[b_adj] - curve.control_points[b_end]).tolist()
+    length = math.hypot(leg_x, leg_y)
     if length == 0.0:
         raise DegenerateParametrizationError(f"zero-length control leg at the {end} end")
-    a2 = np.abs(leg[::-1]) / length
-    comp = int(np.argmax(a2))
+    a2 = (abs(leg_y) / length, abs(leg_x) / length)
+    comp = int(a2[1] > a2[0])
     if a2[1 - comp] > _AXIS_ALIGN_TOL:
         raise NonAxisAlignedRotationError(f"normal at {end} end is not axis-aligned: |a2|={a2}")
     return b_end, b_adj, comp
@@ -264,9 +266,9 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
         f[master] += f[slave]
         removed[slave] = True
 
-    ab = _drop(ab, removed)
-    nonzero = np.flatnonzero(ab.any(axis=1))  # trim to the nonzero half-width
-    free = np.flatnonzero(~removed)
+    free = (~removed).nonzero()[0]
+    ab = _drop(ab, free)
+    nonzero = ab.any(axis=1).nonzero()[0]  # trim to the nonzero half-width
     return ConstrainedSystem(ab=ab[nonzero[0] if len(nonzero) else hb:], f=f[free],
                              free_dofs=free, slave_pairs=slave_pairs, n_full=n)
 
@@ -307,59 +309,54 @@ def _fold(ab: np.ndarray, slave: int, master: int) -> None:
     right[:] = row[w:w + len(right)]
 
 
-def _drop(ab: np.ndarray, removed: np.ndarray) -> np.ndarray:
-    """Band of K with the rows and columns of the `removed` dofs deleted.
+def _drop(ab: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Band of K restricted to the rows and columns of the `free` dofs.
 
-    One column gather keeps each entry at its offset, which is wrong only
-    where removed dofs lie between i and j of K[i, j]. That happens in the
-    columns within hb after a removed dof, at offsets from g (the distance to
-    the nearest removed dof below) to min(hb, j); those are re-read from their
-    source or zeroed. Removed dofs sit at the rod ends, so this stays small.
+    Reduced entry (r, j) is K[free[j - hb + r], free[j]], which sits in band
+    row hb - free[j] + free[j - hb + r] of column free[j]. The row index
+    depends on j only through j + r, so the flat source indices are a strided
+    view of one vector minus a column term: one gather, whatever the removed
+    dofs. A row below zero (a pair farther apart than hb, or above the
+    reduced matrix, marked -n) gives a negative index, which `take` clips to
+    ab[0, 0]: outside the matrix, hence zero, whenever such a pair exists.
     """
     hb, n = ab.shape[0] - 1, ab.shape[1]
-    free = np.flatnonzero(~removed)
-    edges = [-1, *np.flatnonzero(removed).tolist(), n]
-    out = np.concatenate([ab[:, a + 1:b] for a, b in zip(edges, edges[1:])], axis=1)
-    dofs = np.arange(n)
-    g = dofs - np.maximum.accumulate(np.where(removed, dofs, -n - hb))
-    near = np.flatnonzero((g <= hb) & ~removed)  # kept dofs within hb after a removed dof
-    counts = np.minimum(hb, near) - g[near] + 1  # offsets above near are zero already
-    at = np.repeat(np.arange(len(near)), counts)
-    d = np.arange(len(at)) + (g[near] - np.cumsum(counts) + counts)[at]
-    col = near[at]
-    j = np.searchsorted(free, near)[at]  # new column index
-    src = col - free[np.maximum(j - d, 0)]  # the offset of the entry before the drop
-    valid = (j >= d) & (src <= hb)
-    out[hb - d, j] = np.where(valid, ab[hb - np.minimum(src, hb), col], 0.0)
-    return out
+    ext = np.concatenate([np.full(hb, -n), free]) * n
+    idx = as_strided(ext, (hb + 1, len(free)), (ext.strides[0],) * 2) - (n * (free - hb) - free)
+    return ab.take(idx, mode="clip")
 
 
 def solve(constrained: ConstrainedSystem) -> ControlDisplacements:
     """Solve the constrained SPD system and expand to full control displacements.
 
-    Factors the band directly (`scipy.linalg.solveh_banded`). Raises
-    SingularSystemError when the factorization fails or when the normwise
-    backward error ||Ku - f|| / (||K|| ||u|| + ||f||) exceeds 1e-10
-    (insufficient constraints or a broken system). The backward error is used
-    instead of ||Ku - f|| / ||f|| because for very slender sections the
-    membrane terms of K u cancel to ~machine epsilon times their magnitude,
-    which makes the plain relative residual unevaluable in double precision.
+    Factors the band directly with LAPACK `dpbsv` (the routine
+    `scipy.linalg.solveh_banded` wraps). A non-finite band or load is a
+    ValueError. Raises SingularSystemError when the factorization fails or
+    when the normwise backward error ||Ku - f|| / (||K|| ||u|| + ||f||)
+    exceeds 1e-10 (insufficient constraints or a broken system). The backward
+    error is used instead of ||Ku - f|| / ||f|| because for very slender
+    sections the membrane terms of K u cancel to ~machine epsilon times their
+    magnitude, which makes the plain relative residual unevaluable in double
+    precision.
     """
     ab, f = constrained.ab, constrained.f
+    u_full = np.zeros(constrained.n_full)
     if len(f) == 0:
-        u_full = np.zeros(constrained.n_full)
         return ControlDisplacements(u_full.reshape(-1, 2))
-    try:
-        u_red = scipy.linalg.solveh_banded(ab, f)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"factorization failed: {exc}") from exc
+    if not (np.isfinite(ab).all() and np.isfinite(f).all()):
+        raise ValueError("stiffness band or load vector contains infs or NaNs")
+    u_red, info = dpbsv(ab, f)[1:]  # drop the factor at once: a full band for global B-bar
+    if info > 0:
+        raise SingularSystemError(
+            f"factorization failed: {info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbsv")
 
     backward = _band_backward_error(ab, u_red, f)
     if backward > _RESIDUAL_TOL:
         raise SingularSystemError(
             f"solver backward error {backward:.3e} exceeds {_RESIDUAL_TOL:.0e}")
 
-    u_full = np.zeros(constrained.n_full)
     u_full[constrained.free_dofs] = u_red
     for slave, master in constrained.slave_pairs:
         u_full[slave] = u_full[master]
@@ -373,10 +370,11 @@ def _band_backward_error(ab: np.ndarray, u: np.ndarray, f: np.ndarray) -> float:
 
 def _backward_error(residual: np.ndarray, k_norm1: float, u: np.ndarray,
                     f: np.ndarray) -> float:
-    scale = float(k_norm1 * np.linalg.norm(u) + np.linalg.norm(f))
+    # sqrt(x . x) is what np.linalg.norm computes for a vector, without its dispatch
+    scale = k_norm1 * math.sqrt(u.dot(u)) + math.sqrt(f.dot(f))
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(residual)) / scale
+    return math.sqrt(residual.dot(residual)) / scale
 
 
 def solution_backward_error(k: np.ndarray, u: np.ndarray, f: np.ndarray) -> float:

@@ -61,7 +61,25 @@ __all__ = [
     "solve_problem",
 ]
 
-_CONIC_WEIGHT = math.sqrt(2.0) / 2.0
+_RING_RADIUS = 1.0
+_ARCH_RADIUS = 10.0
+_ELLIPSE_AXES = (2.0, 1.0)  # semi-axes a (along x) and b (along y)
+
+
+def _quarter_conic(start, corner, end) -> NurbsCurve:
+    """The single rational quadratic Bezier segment of a quarter circle or
+    ellipse: the corner of its control polygon gets weight sqrt(2)/2."""
+    return NurbsCurve(KnotVector(2, [0, 0, 0, 1, 1, 1]), [start, corner, end],
+                      [1.0, math.sqrt(2.0) / 2.0, 1.0])
+
+
+# Each problem's base conic, built once; `_refine_to` splits it per mesh.
+_RING_BASE = _quarter_conic((_RING_RADIUS, 0.0), (_RING_RADIUS, -_RING_RADIUS),
+                            (0.0, -_RING_RADIUS))
+_ARCH_BASE = _quarter_conic((-_ARCH_RADIUS, 0.0), (-_ARCH_RADIUS, _ARCH_RADIUS),
+                            (0.0, _ARCH_RADIUS))
+_ELLIPSE_BASE = _quarter_conic((-_ELLIPSE_AXES[0], 0.0), (-_ELLIPSE_AXES[0], _ELLIPSE_AXES[1]),
+                               (0.0, _ELLIPSE_AXES[1]))
 
 
 @dataclass(frozen=True)
@@ -139,11 +157,13 @@ def _refine_to(base: NurbsCurve, n_elements: int) -> NurbsCurve:
     if n_elements < 1:
         raise ValueError(f"n_elements must be >= 1, got {n_elements}")
     assert base.degree == 2 and base.n_elements == 1
-    knots = np.concatenate([[0.0, 0.0, 0.0], np.arange(1, n_elements) / n_elements,
-                            [1.0, 1.0, 1.0]])
+    knots = np.arange(-2, n_elements + 3) / n_elements
+    knots[:3], knots[-3:] = 0.0, 1.0
     u, v = knots[1:-2, None], knots[2:-1, None]
-    b = np.column_stack([base.weights[:, None] * base.control_points, base.weights])
-    pw = (1 - u) * (1 - v) * b[0] + ((1 - u) * v + u * (1 - v)) * b[1] + u * v * b[2]
+    w = base.weights[:, None]
+    b = np.concatenate((w * base.control_points, w), axis=1)
+    cu, cv = 1 - u, 1 - v
+    pw = cu * cv * b[0] + (cu * v + u * cv) * b[1] + u * v * b[2]
     return NurbsCurve(KnotVector(2, knots), pw[:, :2] / pw[:, 2:], pw[:, 2])
 
 
@@ -156,13 +176,8 @@ def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
     """
     if not 0.0 < ea < math.inf:
         raise ValueError(f"EA must be positive and finite, got {ea}")
-    p_load, radius, ei = 1.0, 1.0, 1.0
-    base = NurbsCurve(
-        KnotVector(2, [0, 0, 0, 1, 1, 1]),
-        [[radius, 0.0], [radius, -radius], [0.0, -radius]],
-        [1.0, _CONIC_WEIGHT, 1.0],
-    )
-    curve = _refine_to(base, n_elements)
+    p_load, radius, ei = 1.0, _RING_RADIUS, 1.0
+    curve = _refine_to(_RING_BASE, n_elements)
     section = CrossSection(ea=ea, ei=ei)
     loads = LoadSpec(point_loads=[("start", np.array([-p_load / 2, 0.0]))])
     constraints = (symmetry_end_constraints(curve, "start")
@@ -202,7 +217,7 @@ def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
 
 def _arch_exact(t: float):
     """Closed-form semicircular-arch solution callbacks and parameters."""
-    radius, young, width = 10.0, 2.1e11, 0.1
+    radius, young, width = _ARCH_RADIUS, 2.1e11, 0.1
     q = 1e6 * t**3
     ea = young * t * width
     ei = young * t**3 * width / 12.0
@@ -253,12 +268,7 @@ def build_arch_half(n_elements: int, t: float) -> BenchmarkProblem:
         raise ValueError(f"thickness must be positive and finite, got {t}")
     _, _, exact_u, exact_n, exact_m, params = _arch_exact(t)
     radius, q = params["radius"], params["q"]
-    base = NurbsCurve(
-        KnotVector(2, [0, 0, 0, 1, 1, 1]),
-        [[-radius, 0.0], [-radius, radius], [0.0, radius]],
-        [1.0, _CONIC_WEIGHT, 1.0],
-    )
-    curve = _refine_to(base, n_elements)
+    curve = _refine_to(_ARCH_BASE, n_elements)
     section = CrossSection(ea=params["ea"], ei=params["ei"])
 
     def distributed(x):
@@ -299,14 +309,9 @@ def build_ellipse_quarter(n_elements: int, t: float,
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"thickness must be positive and finite, got {t}")
-    a_ax, b_ax, young, width = 2.0, 1.0, 7.0e10, 0.1
+    (a_ax, b_ax), young, width = _ELLIPSE_AXES, 7.0e10, 0.1
     p_load = 1e7 * t**3
-    base = NurbsCurve(
-        KnotVector(2, [0, 0, 0, 1, 1, 1]),
-        [[-a_ax, 0.0], [-a_ax, b_ax], [0.0, b_ax]],
-        [1.0, _CONIC_WEIGHT, 1.0],
-    )
-    curve = _refine_to(base, n_elements)
+    curve = _refine_to(_ELLIPSE_BASE, n_elements)
     section = CrossSection.rectangular(young, t, width)
     loads = LoadSpec(point_loads=[("end", np.array([0.0, -p_load]))])
     constraints = clamped_end_constraints(curve, "start")
@@ -345,7 +350,7 @@ def ellipse_reference(t: float) -> dict:
     |N| = P (the tangent at the clamp is vertical, like the load) and
     |M| = P*a (horizontal lever arm between the ends).
     """
-    p_load, a_ax = 1e7 * t**3, 2.0
+    p_load, a_ax = 1e7 * t**3, _ELLIPSE_AXES[0]
 
     def free_end(n_el: int) -> np.ndarray:
         problem = build_ellipse_quarter(n_el, t)

@@ -274,9 +274,13 @@ def main(argv=None) -> int:
 
     if config.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(config.out, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"casrod: error: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -80,9 +80,8 @@ def point_errors(problem: BenchmarkProblem, solution: RodSolution) -> dict[str, 
 
 
 def _point_errors(checks, u: np.ndarray) -> dict[str, float]:  # u: one 2-vector per check
-    directions = np.array([c.direction for c in checks], dtype=float).reshape(-1, 2)
-    values = np.einsum("mc,mc->m", u, directions)
-    return {c.label: abs(float(v) - c.value) / abs(c.value) for c, v in zip(checks, values)}
+    return {c.label: abs(ux * c.direction[0] + uy * c.direction[1] - c.value) / abs(c.value)
+            for c, (ux, uy) in zip(checks, u.tolist())}
 
 
 def l2_errors(problem: BenchmarkProblem, solution: RodSolution,

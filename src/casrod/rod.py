@@ -92,17 +92,21 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     r1 = combine(curve.control_points, bb.first_active, bb.d1)
     r2 = combine(curve.control_points, bb.first_active, bb.d2)
     jac = np.hypot(r1[:, 0], r1[:, 1])
-    if np.any(jac < _MIN_JACOBIAN):
+    if (jac < _MIN_JACOBIAN).any():
         raise DegenerateParametrizationError(
             f"zero parametric speed at xi={xis[np.argmax(jac < _MIN_JACOBIAN)]}")
-    a1 = r1 / jac[:, None]
+    jac_col = jac[:, None]
+    jac_sq = jac_col**2
+    a1 = r1 / jac_col
     a2 = a1 @ ROT90.T
     # da1/ds: normal projection of r'' scaled by jac^2.
     proj = np.einsum("mc,mc->m", a1, r2)
-    da1_ds = (r2 - a1 * proj[:, None]) / jac[:, None] ** 2
+    da1_ds = r2 - a1 * proj[:, None]
+    da1_ds /= jac_sq
     da2_ds = da1_ds @ ROT90.T
     rdot = np.einsum("mc,mc->m", r1, r2)
-    dn_ds = bb.d1 / jac[:, None]
-    d2n_ds2 = bb.d2 / jac[:, None] ** 2 - bb.d1 * (rdot / jac**4)[:, None]
+    dn_ds = bb.d1 / jac_col
+    d2n_ds2 = bb.d2 / jac_sq
+    d2n_ds2 -= bb.d1 * (rdot / jac**4)[:, None]
     return FrameBatch(bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values)
 

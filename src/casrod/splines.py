@@ -40,22 +40,23 @@ class KnotVector:
     knots: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
-        p, t = self.degree, self.knots
+        t = np.asarray(self.knots, dtype=float)
+        object.__setattr__(self, "knots", t)
+        p = self.degree
         if p < 1:
             raise ValueError(f"degree must be >= 1, got {p}")
         if t.ndim != 1 or len(t) < 2 * (p + 1):
             raise ValueError("knot vector must have at least 2(p+1) entries")
-        if np.any(np.diff(t) < 0.0):
+        d = t[1:] - t[:-1]
+        if (d < 0.0).any():
             raise ValueError("knots must be non-decreasing")
         if t[0] != 0.0 or t[-1] != 1.0:
             raise ValueError("parametric domain must be [0, 1]")
-        if not (np.all(t[: p + 1] == 0.0) and np.all(t[-(p + 1):] == 1.0)):
+        if d[:p].any() or d[-p:].any():  # given the two checks above
             raise ValueError("knot vector must be open (ends repeated p+1 times)")
-        interior = t[p:len(t) - p]
-        if np.any(np.diff(interior) <= 0.0):
+        if not (d[p:-p] > 0.0).all():  # the steps between the distinct knots
             raise ValueError("interior knots must be strictly increasing (no repeats)")
-        self.knots.setflags(write=False)
+        t.setflags(write=False)
 
     @property
     def n_basis(self) -> int:
@@ -88,7 +89,7 @@ class NurbsCurve:
             raise ValueError(f"expected {n} control points of dimension 2, got {q.shape}")
         if w.shape != (n,):
             raise ValueError(f"expected {n} weights, got {w.shape}")
-        if np.any(w <= 0.0):
+        if not (w > 0.0).all():
             raise ValueError("weights must be positive")
         object.__setattr__(self, "control_points", q)
         object.__setattr__(self, "weights", w)
@@ -132,18 +133,21 @@ class BasisBatch:
 
 
 def _find_spans(kv: KnotVector, xis: np.ndarray) -> np.ndarray:
-    outside = ~((xis >= 0.0) & (xis <= 1.0))  # NaN compares false, so it is outside
-    if np.any(outside):
-        raise OutOfDomainError(f"xi={xis[outside][0]} outside parametric domain [0, 1]")
-    k = np.searchsorted(kv.knots, xis, side="right") - 1
-    return np.clip(k, kv.degree, len(kv.knots) - kv.degree - 2).astype(int)
+    """Knot span index k of each xi (t[k] <= xi < t[k+1], xi = 1 in the last
+    nonzero span): p plus the number of interior knots at or below xi."""
+    inside = (xis >= 0.0) & (xis <= 1.0)  # NaN compares false, so it is outside
+    if not inside.all():
+        raise OutOfDomainError(f"xi={xis[~inside][0]} outside parametric domain [0, 1]")
+    p, t = kv.degree, kv.knots
+    return t[p + 1:len(t) - p - 1].searchsorted(xis, side="right") + p
 
 
-def _difference_step(x: np.ndarray) -> np.ndarray:
-    """Rows x[j-1] - x[j] for j = 0..n, with x[-1] = x[n] = 0."""
+def _difference_step(x: np.ndarray, scale: int) -> np.ndarray:
+    """Rows scale * (x[j-1] - x[j]) for j = 0..n, with x[-1] = x[n] = 0."""
     out = np.zeros((x.shape[0] + 1, x.shape[1]))
     out[1:] = x
     out[:-1] -= x
+    out *= scale
     return out
 
 
@@ -157,28 +161,27 @@ def bspline_basis_many(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
     degree-reduction formula). Row r of each step holds function r at every
     point, so each step runs over all points at once.
     """
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    p, t = kv.degree, kv.knots
+    xis = np.asarray(xis, dtype=float).reshape(-1)
+    p, t, m = kv.degree, kv.knots, len(xis)
     k = _find_spans(kv, xis)
-    win = t[k + np.arange(1 - p, p + 1)[:, None]]       # rows t[k+1-p] .. t[k+p]
+    win = t.take(k + np.arange(1 - p, p + 1)[:, None])  # rows t[k+1-p] .. t[k+p]
     left = xis - win[:p]                                 # xi - t[k+1-p+c]
     right = win[p:] - xis                                # t[k+1+c] - xi
-    values = np.ones((1, len(xis)))
-    ratios = []
+    values, ratios = 1.0, []
     for j in range(1, p + 1):
-        ratio = values / (win[p:p + j] - win[p - j:p])
-        values = np.zeros((j + 1, len(xis)))
-        values[:j] = right[:j] * ratio
+        span = win[p:p + j] - win[p - j:p]
+        ratio = values / span
+        values = np.zeros((j + 1, m))
+        np.multiply(right[:j], ratio, out=values[:j])
         values[1:] += left[p - j:] * ratio
         ratios.append(ratio)
     d1 = d2 = None
     if max_deriv >= 1:
-        d1 = (p * _difference_step(ratios[p - 1])).T
+        d1 = _difference_step(ratios[p - 1], p).T
     if max_deriv >= 2:
-        d2 = np.zeros((len(xis), p + 1))
-        if p >= 2:
-            lower_d1 = (p - 1) * _difference_step(ratios[p - 2])
-            d2 = (p * _difference_step(lower_d1 / (win[p:] - win[:p]))).T
+        d2 = np.zeros((m, p + 1))
+        if p >= 2:  # span holds the top level's t[k+1+r] - t[k+1-p+r]
+            d2 = _difference_step(_difference_step(ratios[p - 2], p - 1) / span, p).T
     return BasisBatch(k - p, values.T, d1, d2)
 
 
@@ -191,18 +194,23 @@ def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
     bb = bspline_basis_many(curve.knot_vector, xis, max_deriv)
     # row j holds function j at every point, the layout bspline_basis_many
     # computes in, so each sum over the p + 1 functions adds whole rows
-    w = np.take(curve.weights, bb.first_active + np.arange(curve.degree + 1)[:, None])
+    w = curve.weights.take(bb.first_active + np.arange(curve.degree + 1)[:, None])
     a = w * bb.values.T
     wsum = a.sum(axis=0)
     r = a / wsum
     r1 = r2 = None
-    if max_deriv >= 1:
-        a1 = w * bb.d1.T
-        w1 = a1.sum(axis=0)
-        r1 = (a1 - r * w1) / wsum
+    if max_deriv >= 1:  # the quotient rule, in place on the weighted derivatives
+        r1 = w * bb.d1.T
+        w1 = r1.sum(axis=0)
+        r1 -= r * w1
+        r1 /= wsum
         if max_deriv >= 2:
-            a2 = w * bb.d2.T
-            r2 = ((a2 - 2.0 * r1 * w1 - r * a2.sum(axis=0)) / wsum).T
+            r2 = w * bb.d2.T
+            w2 = r2.sum(axis=0)
+            r2 -= 2.0 * r1 * w1
+            r2 -= r * w2
+            r2 /= wsum
+            r2 = r2.T
         r1 = r1.T
     return BasisBatch(bb.first_active, r.T, r1, r2)
 
@@ -211,8 +219,8 @@ def combine(control: np.ndarray, first_active: np.ndarray, rows: np.ndarray) -> 
     """sum_j rows[i, j] control[first_active[i] + j] at every point i: a curve
     quantity from control points, or a field from control displacements."""
     idx = first_active + np.arange(rows.shape[1])[:, None]
-    # np.take gathers the (p+1, m) rows many times faster than control[idx]
-    return np.einsum("jm,jm...->m...", rows.T, np.take(control, idx, axis=0))
+    # take gathers the (p+1, m) rows many times faster than control[idx]
+    return np.einsum("jm,jm...->m...", rows.T, control.take(idx, axis=0))
 
 
 def evaluate_geometry(curve: NurbsCurve, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

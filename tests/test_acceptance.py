@@ -375,10 +375,15 @@ class TestCriterion9Performance:
             return time.perf_counter() - start
 
         reps = 100
-        for form in (F.NURBS_FULL, F.CAS, F.GLOBAL_BBAR):  # warm caches
+        forms = (F.NURBS_FULL, F.CAS, F.GLOBAL_BBAR)
+        for form in forms:  # warm caches
             run_once(form)
-        med = {form: statistics.median([run_once(form) for _ in range(reps)])
-               for form in (F.NURBS_FULL, F.CAS, F.GLOBAL_BBAR)}
+        # interleaved, so a load change on the host hits all three alike
+        times = {form: [] for form in forms}
+        for _ in range(reps):
+            for form in forms:
+                times[form].append(run_once(form))
+        med = {form: statistics.median(times[form]) for form in forms}
         cas_ratio = med[F.CAS] / med[F.NURBS_FULL]
         gb_vs_nurbs = med[F.GLOBAL_BBAR] / med[F.NURBS_FULL]
         gb_vs_cas = med[F.GLOBAL_BBAR] / med[F.CAS]

@@ -422,6 +422,77 @@ class TestSolve:
         assert solution_backward_error(con.k, u_red, con.f) < 1e-10
 
 
+_BENCHMARKS = {"ring": lambda n: build_ring_quarter(n, 1e6),
+               "arch": lambda n: build_arch_half(n, 0.01),
+               "ellipse": lambda n: build_ellipse_quarter(n, 0.004)}
+
+
+def _constrained(problem, form=ElementFormulation.CAS) -> ConstrainedSystem:
+    system = assemble(problem.curve, problem.section, form, problem.loads)
+    return apply_constraints(system, problem.constraints)
+
+
+class TestSolveContract:
+    """`solve` calls LAPACK dpbsv itself; these pin what `solveh_banded` gave."""
+
+    @pytest.mark.parametrize("form", list(ElementFormulation), ids=lambda f: f.value)
+    @pytest.mark.parametrize("name", sorted(_BENCHMARKS))
+    def test_matches_solveh_banded_bit_for_bit(self, name, form):
+        for n in (2, 3, 16, 64):
+            con = _constrained(_BENCHMARKS[name](n), form)
+            u = solve(con).u.reshape(-1)
+            want = scipy.linalg.solveh_banded(con.ab, con.f)
+            assert u[con.free_dofs].tobytes() == want.tobytes(), (name, n)
+
+    def test_tridiagonal_band_agrees_with_solveh_banded(self):
+        # solveh_banded sends a half-bandwidth of 1 to the LDL^T routine
+        # dptsv; the Cholesky solve agrees to roundoff
+        con = _constrained(build_ring_quarter(1, 1e6))
+        assert con.half_bandwidth == 1
+        want = scipy.linalg.solveh_banded(con.ab, con.f)
+        np.testing.assert_allclose(solve(con).u.reshape(-1)[con.free_dofs], want,
+                                   rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["band", "load"])
+    def test_non_finite_system_is_a_value_error(self, where, value):
+        con = _constrained(build_ring_quarter(4, 1e6))
+        if where == "band":
+            con.ab = con.ab.copy()
+            con.ab[-1, 3] = value
+        else:
+            con.f = con.f.copy()
+            con.f[2] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(con)
+
+    def test_indefinite_band_is_singular(self):
+        con = ConstrainedSystem(ab=np.array([[2.0, -1.0]]), f=np.array([1.0, 1.0]),
+                                free_dofs=np.array([0, 1]), slave_pairs=[], n_full=2)
+        with pytest.raises(SingularSystemError, match="2th leading minor not positive definite"):
+            solve(con)
+
+    def test_zero_dof_system_returns_zeros(self):
+        con = ConstrainedSystem(ab=np.zeros((1, 0)), f=np.zeros(0),
+                                free_dofs=np.zeros(0, dtype=int), slave_pairs=[], n_full=6)
+        u = solve(con).u
+        assert u.shape == (3, 2) and not u.any()
+
+    @pytest.mark.parametrize("damage, code, prefix", [
+        (lambda ab: np.where(ab != 0.0, np.nan, ab), 1, "casrod: error: "),
+        (lambda ab: -ab, 2, "casrod: numerical failure: "),
+    ], ids=["non-finite", "indefinite"])
+    def test_cli_exit_codes(self, monkeypatch, capsys, damage, code, prefix):
+        from casrod.cli import main
+
+        band = PatchOperators.stiffness_band
+        monkeypatch.setattr(PatchOperators, "stiffness_band", lambda ops: damage(band(ops)))
+        assert main(["converge", "--problem", "ring", "--formulation", "cas",
+                     "--slenderness", "1e6", "--refinements", "0"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
+
+
 class TestReactions:
     def test_cantilever_reaction_balance(self):
         rod = straight_rod(8)

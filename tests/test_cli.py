@@ -127,6 +127,21 @@ class TestMainEntry:
         assert lines[0] == CONVERGE_HEADER
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("command", ["converge", "fields"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, command, target):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        args = [command, "--problem", "ring", "--formulation", "cas", "--slenderness", "1e4",
+                "--out", str(out)]
+        args += (["--refinements", "1"] if command == "converge"
+                 else ["--elements", "2", "--samples", "3"])
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"casrod: error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "missing").exists()
+
     def test_fields_to_stdout(self, capsys):
         code = main(["fields", "--problem", "ring", "--formulation", "nurbs",
                      "--slenderness", "1e4", "--elements", "4", "--samples", "5"])

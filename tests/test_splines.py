@@ -1,10 +1,15 @@
 """Tests for B-spline/NURBS basis evaluation, knot insertion, and geometry."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from casrod import KnotVector, NurbsCurve, evaluate_geometry, make_open_uniform_knot_vector
+from casrod import (ElementFormulation, KnotVector, NurbsCurve, build_arch_half,
+                    build_ellipse_quarter, build_ring_quarter, evaluate_geometry,
+                    make_open_uniform_knot_vector, solve_problem)
 from casrod.errors import OutOfDomainError
+from casrod.metrics import displacement_at
 from casrod.rod import frames_at
 from casrod.splines import bspline_basis_many, nurbs_basis_many
 
@@ -301,3 +306,48 @@ class TestGreville:
         for xi, first, values in zip(xis, bb.first_active, bb.values):
             active = greville[first:first + 3]
             assert abs(values @ active - xi) < 1e-13
+
+
+class TestBatchSizeIndependence:
+    """A point gives the same bits alone as inside a 4097-point batch, so no
+    kernel takes a size-dependent path (e.g. an einsum or BLAS kernel that
+    reorders its sums for long rows)."""
+
+    @staticmethod
+    def _batch(curve, rng):
+        xis = np.concatenate([rng.random(4097 - len(curve.knot_vector.breakpoints)),
+                              curve.knot_vector.breakpoints])
+        rng.shuffle(xis)
+        return xis
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_elements", [1, 16, 1024])
+    def test_basis_and_frames(self, p, n_elements):
+        rng = np.random.default_rng(1000 * p + n_elements)
+        if p == 2:
+            curve = build_ellipse_quarter(n_elements, 0.004).curve
+        else:
+            interior = np.sort(rng.random(n_elements - 1))
+            kv = KnotVector(p, np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]))
+            curve = NurbsCurve(kv, rng.standard_normal((kv.n_basis, 2)),
+                               0.5 + rng.random(kv.n_basis))
+        xis = self._batch(curve, rng)
+        batches = (nurbs_basis_many(curve, xis), frames_at(curve, xis))
+        for i in [0, 4096, *rng.choice(4097, 60, replace=False)]:
+            singles = (nurbs_basis_many(curve, xis[i:i + 1]), frames_at(curve, xis[i]))
+            for one, many in zip(singles, batches):
+                for f in fields(one):
+                    got, want = getattr(one, f.name), getattr(many, f.name)
+                    assert got[0].tobytes() == want[i].tobytes(), (f.name, i)
+
+    @pytest.mark.parametrize("name", ["ring", "arch", "ellipse"])
+    def test_displacement_at(self, name):
+        build = {"ring": lambda: build_ring_quarter(16, 1e6),
+                 "arch": lambda: build_arch_half(16, 0.01),
+                 "ellipse": lambda: build_ellipse_quarter(16, 0.004)}[name]
+        solution = solve_problem(build(), ElementFormulation.CAS)
+        rng = np.random.default_rng(7)
+        xis = self._batch(solution.curve, rng)
+        many = displacement_at(solution, xis)
+        for i in [0, 4096, *rng.choice(4097, 60, replace=False)]:
+            assert displacement_at(solution, xis[i]).tobytes() == many[i].tobytes()
