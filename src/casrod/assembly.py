@@ -57,7 +57,7 @@ _RESIDUAL_TOL = 1e-10
 class LoadSpec:
     """Point loads at the rod ends plus an optional distributed load.
 
-    point_loads: list of ("start" | "end", force 2-vector).
+    point_loads: list of ("start" | "end", force of shape (2,), else a ValueError).
     distributed: callable x -> force density per arc length at the curve
         points x; None when absent. `assemble` calls it once, with the
         quadrature-point positions, shape (n_el, n_q, 2) (the points of
@@ -157,16 +157,24 @@ def assemble(curve: NurbsCurve, section: CrossSection,
     The stiffness comes from `PatchOperators.stiffness_band`. The distributed
     load is called once, on the quadrature-point positions (see `LoadSpec`),
     which come from the basis values of `ops`: assembly evaluates no geometry.
+    A given `ops` must be built from this curve object, this section and
+    formulation, and `quad_points` (if given); otherwise it is a ValueError.
     """
     if ops is None:
         ops = PatchOperators(curve, section, formulation, quad_points)
+    elif (ops.curve is not curve or ops.section != section or ops.formulation is not formulation
+          or quad_points not in (None, ops.n_quad)):
+        raise ValueError("ops was built for another curve, section, formulation or rule")
     f = np.zeros(2 * curve.n_basis)
 
     for end, force in loads.point_loads:
         if end not in ("start", "end"):
             raise ValueError(f"point load end must be 'start' or 'end', got {end!r}")
+        force = np.asarray(force, dtype=float)
+        if force.shape != (2,):
+            raise ValueError(f"point load force has shape {force.shape}, not (2,)")
         b = 0 if end == "start" else curve.n_basis - 1
-        f[2 * b:2 * b + 2] += np.asarray(force, dtype=float)
+        f[2 * b:2 * b + 2] += force
 
     if loads.distributed is not None:
         n_el, nq = ops.xi_q.shape

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -154,8 +155,8 @@ def _refine_to(base: NurbsCurve, n_elements: int) -> NurbsCurve:
     This is what inserting every interior knot would give, in one step, so
     the refined curve still represents the conic to machine precision.
     """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+    if not isinstance(n_elements, numbers.Integral) or n_elements < 1:
+        raise ValueError(f"n_elements must be an integer >= 1, got {n_elements!r}")
     assert base.degree == 2 and base.n_elements == 1
     knots = np.arange(-2, n_elements + 3) / n_elements
     knots[:3], knots[-3:] = 0.0, 1.0

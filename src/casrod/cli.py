@@ -34,14 +34,15 @@ from .benchmarks import (
 )
 from .errors import DegenerateParametrizationError, SingularSystemError
 from .formulations import ElementFormulation
-from .metrics import ConvergenceRecord, ErrorReport, l2_errors, point_errors, sample_fields
+from .metrics import (FIELD_COLUMNS, ConvergenceRecord, ErrorReport, l2_errors,
+                      point_errors, sample_fields)
 
 __all__ = ["RunConfig", "StudyError", "convergence_records", "run_convergence_study",
            "run_field_dump", "main", "CONVERGE_HEADER", "FIELDS_HEADER"]
 
 CONVERGE_HEADER = ("problem,formulation,quad_points,n_elements,n_dof,"
                    "slenderness,e_u,e_N,e_M,err_uxA,err_uyB")
-FIELDS_HEADER = "s,phi,u_x,u_y,N,M,N_exact,M_exact"
+FIELDS_HEADER = ",".join(FIELD_COLUMNS)
 
 # which point-error labels feed the err_uxA / err_uyB columns
 _POINT_COLUMNS = {

@@ -14,8 +14,8 @@ membrane strain enters the membrane energy:
     global-bbar   assumed strain = patch-level L2 projection onto C0
                   piecewise linears with nodes at the knots (dense stiffness)
 
-This module also provides post-solve recovery of the membrane force (through
-the formulation's own strain representation) and of the bending moment.
+This module also provides post-solve recovery of the membrane strain (through
+the formulation's own strain representation) and of the bending strain.
 """
 
 from __future__ import annotations
@@ -291,37 +291,24 @@ class PatchOperators:
 
     # -- post-solve field recovery ---------------------------------------------
 
-    def _elements_of(self, xis: np.ndarray) -> np.ndarray:
-        e = np.searchsorted(self._bp, xis, side="right") - 1
-        return np.clip(e, 0, self.curve.n_elements - 1)
+    def strains(self, u: np.ndarray, frames: FrameBatch) -> tuple[np.ndarray, np.ndarray]:
+        """Membrane strain eps and bending strain kappa at the points of `frames`.
 
-    def _element_windows(self, u_flat: np.ndarray) -> np.ndarray:
-        """Element dof vectors as sliding windows over the flat dof vector."""
-        return sliding_window_view(u_flat, 2 * (self.curve.degree + 1))[::2]
-
-    def membrane_strain_profile(self, u: np.ndarray, xis,
-                                frames: FrameBatch | None = None) -> np.ndarray:
-        """Membrane strain at the given parametric points.
-
-        Uses the formulation's own strain representation: the assumed strain
-        for CAS / local B-bar / local ANS / global B-bar, the compatible
-        strain for standard NURBS. `frames`, when given, must be
-        `frames_at(curve, xis)`; callers that already hold it pass it here.
+        eps uses the formulation's own strain representation: the assumed
+        strain for CAS / local B-bar / local ANS / global B-bar, the
+        compatible strain for standard NURBS. kappa is the compatible
+        curvature change. The element of each point is `frames.first_active`;
+        N = EA eps and M = EI kappa.
         """
         u_flat = np.asarray(u, dtype=float).reshape(-1)
-        xis = np.atleast_1d(np.asarray(xis, dtype=float))
+        e = frames.first_active
+        windows = sliding_window_view(u_flat, 2 * (self.curve.degree + 1))[::2]  # element dofs
+        win = windows[e]
+        kappa = np.einsum("mi,mi->m", _bending_rows(frames), win)
         form = self.formulation
         if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
-            fb = frames_at(self.curve, xis) if frames is None else frames
-            rows = _membrane_rows(fb)
-            win = self._element_windows(u_flat)
-            return np.einsum("mi,mi->m", rows, win[fb.first_active])
+            return np.einsum("mi,mi->m", _membrane_rows(frames), win), kappa
 
-        e_idx = self._elements_of(xis)
-        a = self._bp[e_idx]
-        b = self._bp[e_idx + 1]
-        xhat = 2.0 * (xis - a) / (b - a) - 1.0
-        win = self._element_windows(u_flat)
         if form is ElementFormulation.GLOBAL_BBAR:
             ab, g = self._global_projection()
             nodal = solveh_banded(ab, g @ u_flat)
@@ -329,26 +316,7 @@ class PatchOperators:
             node = 1.0
         else:
             rows, node = self._pair
-            coeff = np.einsum("eli,ei->el", rows, win)
-        lvals = _linear_pair(xhat, node)
-        return np.einsum("ml,ml->m", lvals, coeff[e_idx])
-
-    def bending_strain_profile(self, u: np.ndarray, xis,
-                               frames: FrameBatch | None = None) -> np.ndarray:
-        """Compatible bending strain at the given parametric points
-        (`frames` as in `membrane_strain_profile`)."""
-        u_flat = np.asarray(u, dtype=float).reshape(-1)
-        xis = np.atleast_1d(np.asarray(xis, dtype=float))
-        fb = frames_at(self.curve, xis) if frames is None else frames
-        rows = _bending_rows(fb)
-        win = self._element_windows(u_flat)
-        return np.einsum("mi,mi->m", rows, win[fb.first_active])
-
-    def membrane_force_profile(self, u: np.ndarray, xis,
-                               frames: FrameBatch | None = None) -> np.ndarray:
-        return self.section.ea * self.membrane_strain_profile(u, xis, frames)
-
-    def bending_moment_profile(self, u: np.ndarray, xis,
-                               frames: FrameBatch | None = None) -> np.ndarray:
-        return self.section.ei * self.bending_strain_profile(u, xis, frames)
-
+            coeff = np.einsum("eli,ei->el", rows, windows)
+        a = self._bp[e]
+        xhat = 2.0 * (frames.xi - a) / (self._bp[e + 1] - a) - 1.0
+        return np.einsum("ml,ml->m", _linear_pair(xhat, node), coeff[e]), kappa

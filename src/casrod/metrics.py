@@ -112,15 +112,14 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
                     for v in (approx - exact, exact))
         return np.sqrt(num / den)
 
+    eps, kappa = solution.ops.strains(solution.u, fb)
     e_u = e_n = e_m = None
     if problem.exact_u is not None:
         e_u = relative(combine(solution.u, fb.first_active, fb.values), problem.exact_u(phis))
     if problem.exact_n is not None:
-        e_n = relative(solution.ops.membrane_force_profile(solution.u, xis, fb),
-                       problem.exact_n(phis))
+        e_n = relative(solution.ops.section.ea * eps, problem.exact_n(phis))
     if problem.exact_m is not None:
-        e_m = relative(solution.ops.bending_moment_profile(solution.u, xis, fb),
-                       problem.exact_m(phis))
+        e_m = relative(solution.ops.section.ei * kappa, problem.exact_m(phis))
     u_checks = combine(solution.u, batch.first_active[m:], batch.values[m:])
     return ErrorReport(e_u=e_u, e_n=e_n, e_m=e_m, point_errors=_point_errors(checks, u_checks))
 
@@ -160,8 +159,8 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
     boundary = np.concatenate([[0.0], np.cumsum(whole_halves * (jac[n_samples:] @ rule.weights))])
     s = boundary[e] + partial_halves * (jac[:n_samples] @ rule.weights)
     fb = batch[:n_samples]
-    n_h = solution.ops.membrane_force_profile(solution.u, xis, fb)
-    m_h = solution.ops.bending_moment_profile(solution.u, xis, fb)
+    eps, kappa = solution.ops.strains(solution.u, fb)
+    n_h, m_h = solution.ops.section.ea * eps, solution.ops.section.ei * kappa
     u_h = combine(solution.u, fb.first_active, fb.values)
     phi = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values))
     missing = np.full(n_samples, np.nan)

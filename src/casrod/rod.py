@@ -59,7 +59,8 @@ class ControlDisplacements:
 class FrameBatch:
     """Vectorized frames: row i of every array belongs to the i-th point."""
 
-    first_active: np.ndarray   # (m,) int
+    xi: np.ndarray             # (m,) parametric coordinates of the points
+    first_active: np.ndarray   # (m,) int, also the element of each point
     a1: np.ndarray             # (m, 2)
     a2: np.ndarray             # (m, 2)
     da2_ds: np.ndarray         # (m, 2)
@@ -108,5 +109,5 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     dn_ds = bb.d1 / jac_col
     d2n_ds2 = bb.d2 / jac_sq
     d2n_ds2 -= bb.d1 * (rdot / jac**4)[:, None]
-    return FrameBatch(bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values)
+    return FrameBatch(xis, bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values)
 

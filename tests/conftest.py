@@ -5,6 +5,7 @@ import pytest
 
 import casrod.splines
 from casrod import KnotVector, NurbsCurve, make_open_uniform_knot_vector
+from casrod.rod import frames_at
 from oracles import greville_abscissae
 
 CONIC_W = np.sqrt(2.0) / 2.0
@@ -32,6 +33,11 @@ def straight_rod(n_elements: int, length: float = 1.0) -> NurbsCurve:
     x = length * greville_abscissae(kv)
     pts = np.column_stack([x, np.zeros_like(x)])
     return NurbsCurve(kv, pts, np.ones(kv.n_basis))
+
+
+def strains_at(ops, u, xis):
+    """(eps, kappa) of `ops.strains` on the frame batch of the points xis."""
+    return ops.strains(u, frames_at(ops.curve, xis))
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from casrod.benchmarks import _arch_exact
 from casrod.metrics import point_errors
 from casrod.rod import frames_at
 
+from conftest import strains_at
 from oracles import bending_strain, membrane_strain
 
 F = ElementFormulation
@@ -184,8 +185,8 @@ class TestCriterion5GlobalBbarEquivalence:
             sol_cas = solve_problem(problem, F.CAS)
             sol_gb = solve_problem(problem, F.GLOBAL_BBAR)
             xis = np.linspace(1e-9, 1 - 1e-9, 400)
-            n_cas = sol_cas.ops.membrane_force_profile(sol_cas.u, xis)
-            n_gb = sol_gb.ops.membrane_force_profile(sol_gb.u, xis)
+            n_cas = sol_cas.ops.section.ea * strains_at(sol_cas.ops, sol_cas.u, xis)[0]
+            n_gb = sol_gb.ops.section.ea * strains_at(sol_gb.ops, sol_gb.u, xis)[0]
             worst = max(worst, np.abs(n_cas - n_gb).max() / 0.5)
         ok = worst <= 0.02
         announce(5, "global B-bar and CAS membrane forces overlap", ok,
@@ -224,7 +225,7 @@ class TestCriterion7Ellipse:
             sol = solve_problem(problem, F.CAS)
             errs = point_errors(problem, sol)
             worst_cas = max(worst_cas, errs["ux_free"], errs["uy_free"])
-            m_clamp = abs(sol.ops.bending_moment_profile(sol.u, [1e-9])[0])
+            m_clamp = abs(sol.ops.section.ei * strains_at(sol.ops, sol.u, [1e-9])[1][0])
             m_ref = ellipse_reference(t)["m_clamp_abs"]
             clamp_worst = max(clamp_worst, abs(m_clamp - m_ref) / m_ref)
         problem4 = build_ellipse_quarter(16, 0.0004, with_reference_checks=True)
@@ -342,8 +343,8 @@ class TestCriterion8PropertySuites:
         sol = solve_problem(problem, F.CAS)
         worst = 0.0
         for knot in problem.curve.knot_vector.breakpoints[1:-1]:
-            left = sol.ops.membrane_strain_profile(sol.u, [knot - 1e-16])[0]
-            right = sol.ops.membrane_strain_profile(sol.u, [knot + 1e-16])[0]
+            left = strains_at(sol.ops, sol.u, [knot - 1e-16])[0][0]
+            right = strains_at(sol.ops, sol.u, [knot + 1e-16])[0][0]
             worst = max(worst, abs(left - right) / max(abs(left), 1e-300))
         ok = worst < 1e-14
         announce(8, "CAS assumed strain continuous across elements", ok,

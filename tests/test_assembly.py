@@ -167,6 +167,33 @@ class TestAssemble:
             assemble(rod, CrossSection(1.0, 1.0), ElementFormulation.NURBS_FULL,
                      LoadSpec(point_loads=[("tip", np.array([1.0, 0.0]))]))
 
+    @pytest.mark.parametrize("force", [1.0, [1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]],
+                             ids=["scalar", "shape-1", "shape-3", "shape-1x2"])
+    def test_point_load_shape_rejected(self, force):
+        # a scalar or one entry used to be spread over both components
+        with pytest.raises(ValueError, match="point load force has shape"):
+            assemble(straight_rod(2), CrossSection(1.0, 1.0), ElementFormulation.NURBS_FULL,
+                     LoadSpec(point_loads=[("start", force)]))
+
+    def test_ops_must_match_the_other_arguments(self):
+        coarse, fine = build_arch_half(4, 0.01), build_arch_half(8, 0.01)
+        form = ElementFormulation.CAS
+        ops = PatchOperators(coarse.curve, coarse.section, form)
+        mismatched = [
+            # a 4-element ops with the 8-element curve gave a (6, 12) band and a load of 20
+            (fine.curve, coarse.section, form, None),
+            (coarse.curve, CrossSection(1.0, 1.0), form, None),
+            (coarse.curve, coarse.section, ElementFormulation.NURBS_FULL, None),
+            (coarse.curve, coarse.section, form, 2),
+        ]
+        for curve, section, formulation, quad_points in mismatched:
+            with pytest.raises(ValueError, match="ops was built for another"):
+                assemble(curve, section, formulation, coarse.loads, quad_points, ops=ops)
+        want = assemble(coarse.curve, coarse.section, form, coarse.loads)
+        got = assemble(coarse.curve, coarse.section, form, coarse.loads, ops.n_quad, ops=ops)
+        np.testing.assert_array_equal(got.ab, want.ab)
+        np.testing.assert_array_equal(got.f, want.f)
+
     def test_bandwidth_flag(self):
         rod = straight_rod(3)
         for form, banded in [(ElementFormulation.CAS, True),

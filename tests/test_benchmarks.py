@@ -20,6 +20,7 @@ from casrod.errors import MissingExactFieldError, OutOfDomainError
 from casrod.metrics import l2_errors
 from casrod.rod import frames_at
 
+from conftest import strains_at
 from oracles import insert_knot
 
 
@@ -192,8 +193,8 @@ class TestEllipseProblem:
         p_load = 1e7 * t**3
         problem = build_ellipse_quarter(256, t)
         sol = solve_problem(problem, ElementFormulation.CAS)
-        n0 = sol.ops.membrane_force_profile(sol.u, [1e-9])[0]
-        m0 = sol.ops.bending_moment_profile(sol.u, [1e-9])[0]
+        n0 = sol.ops.section.ea * strains_at(sol.ops, sol.u, [1e-9])[0][0]
+        m0 = sol.ops.section.ei * strains_at(sol.ops, sol.u, [1e-9])[1][0]
         assert abs(n0) == pytest.approx(p_load, rel=5e-3)
         assert abs(m0) == pytest.approx(2.0 * p_load, rel=5e-3)
 
@@ -291,3 +292,18 @@ class TestRefinement:
     def test_rejects_fewer_than_one_element(self):
         with pytest.raises(ValueError, match="n_elements"):
             _refine_to(build_ring_quarter(1, 1e6).curve, 0)
+
+    @pytest.mark.parametrize("build", [lambda n: build_ring_quarter(n, 1e6),
+                                       lambda n: build_arch_half(n, 0.01),
+                                       lambda n: build_ellipse_quarter(n, 0.04)],
+                             ids=["ring", "arch", "ellipse"])
+    def test_element_count_must_be_an_integer(self, build):
+        # 2.5 used to build 3 elements with knots at 0, 0.4, 0.8 and 1
+        for n in (2.5, 3.0):
+            with pytest.raises(ValueError, match="n_elements must be an integer"):
+                build(n)
+        want = build(3).curve
+        for n in (np.int64(3), np.int32(3)):
+            got = build(n).curve
+            np.testing.assert_array_equal(got.knot_vector.knots, want.knot_vector.knots)
+            np.testing.assert_array_equal(got.control_points, want.control_points)

@@ -95,6 +95,7 @@ class TestFieldsCommand:
         text = run_field_dump(config)
         lines = text.strip().splitlines()
         assert lines[0] == FIELDS_HEADER
+        assert FIELDS_HEADER == "s,phi,u_x,u_y,N,M,N_exact,M_exact"
         assert len(lines) == 1 + 101
 
     def test_ring_exact_columns_populated(self):

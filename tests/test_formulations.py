@@ -15,7 +15,7 @@ from casrod import (
 )
 from casrod.formulations import _GAUSS2_NODE, _linear_pair
 
-from conftest import straight_rod
+from conftest import straight_rod, strains_at
 from oracles import greville_abscissae
 
 ALL_FORMS = list(ElementFormulation)
@@ -96,8 +96,8 @@ class TestCas:
         u = rng.normal(size=(problem.curve.n_basis, 2))
         bp = problem.curve.knot_vector.breakpoints
         for e in range(4):
-            ends = ops.membrane_strain_profile(u, [bp[e] + 1e-12, bp[e + 1] - 1e-12])
-            mid = ops.membrane_strain_profile(u, [0.5 * (bp[e] + bp[e + 1])])[0]
+            ends = strains_at(ops, u, [bp[e] + 1e-12, bp[e + 1] - 1e-12])[0]
+            mid = strains_at(ops, u, [0.5 * (bp[e] + bp[e + 1])])[0][0]
             assert mid == pytest.approx(0.5 * (ends[0] + ends[1]), rel=1e-9)
 
     def test_reproduces_constant_strain_energy(self):
@@ -122,8 +122,8 @@ class TestCas:
         sol = solve_problem(problem, ElementFormulation.CAS)
         bp = problem.curve.knot_vector.breakpoints
         for knot in bp[1:-1]:
-            left = sol.ops.membrane_strain_profile(sol.u, [knot - 1e-16])[0]
-            right = sol.ops.membrane_strain_profile(sol.u, [knot + 1e-16])[0]
+            left = strains_at(sol.ops, sol.u, [knot - 1e-16])[0][0]
+            right = strains_at(sol.ops, sol.u, [knot + 1e-16])[0][0]
             assert right == pytest.approx(left, rel=1e-14, abs=1e-16)
 
     def test_ring_32_elements_slender_accuracy(self):
@@ -150,8 +150,8 @@ class TestLocalBbar:
         ops = PatchOperators(rod, UNIT_SECTION, ElementFormulation.LOCAL_BBAR)
         std = PatchOperators(rod, UNIT_SECTION, ElementFormulation.NURBS_FULL)
         xis = np.linspace(1e-9, 1 - 1e-9, 23)
-        np.testing.assert_allclose(ops.membrane_strain_profile(u, xis),
-                                   std.membrane_strain_profile(u, xis),
+        np.testing.assert_allclose(strains_at(ops, u, xis)[0],
+                                   strains_at(std, u, xis)[0],
                                    rtol=1e-12, atol=1e-14)
 
     def test_projection_preserves_element_integral(self):
@@ -162,8 +162,8 @@ class TestLocalBbar:
         u = rng.normal(size=(problem.curve.n_basis, 2))
         for e in range(4):
             xi_q = ops.xi_q[e]
-            eps_bar = ops.membrane_strain_profile(u, xi_q)
-            eps_h = std.membrane_strain_profile(u, xi_q)
+            eps_bar = strains_at(ops, u, xi_q)[0]
+            eps_h = strains_at(std, u, xi_q)[0]
             int_bar = ops.wds[e] @ eps_bar
             int_h = ops.wds[e] @ eps_h
             assert int_bar == pytest.approx(int_h, rel=1e-12, abs=1e-15)
@@ -174,8 +174,8 @@ class TestLocalBbar:
         bp = problem.curve.knot_vector.breakpoints
         jumps = []
         for knot in bp[1:-1]:
-            left = sol.ops.membrane_strain_profile(sol.u, [knot - 1e-13])[0]
-            right = sol.ops.membrane_strain_profile(sol.u, [knot + 1e-13])[0]
+            left = strains_at(sol.ops, sol.u, [knot - 1e-13])[0][0]
+            right = strains_at(sol.ops, sol.u, [knot + 1e-13])[0][0]
             jumps.append(abs(left - right))
         assert max(jumps) > 0.0
 
@@ -196,16 +196,16 @@ class TestLocalAns:
         ops = PatchOperators(rod, UNIT_SECTION, ElementFormulation.LOCAL_ANS)
         std = PatchOperators(rod, UNIT_SECTION, ElementFormulation.NURBS_FULL)
         xis = np.linspace(1e-9, 1 - 1e-9, 23)
-        np.testing.assert_allclose(ops.membrane_strain_profile(u, xis),
-                                   std.membrane_strain_profile(u, xis),
+        np.testing.assert_allclose(strains_at(ops, u, xis)[0],
+                                   strains_at(std, u, xis)[0],
                                    rtol=1e-12, atol=1e-14)
 
     def test_discontinuous_across_knots(self):
         problem = build_arch_half(8, 0.1)
         sol = solve_problem(problem, ElementFormulation.LOCAL_ANS)
         bp = problem.curve.knot_vector.breakpoints
-        jumps = [abs(sol.ops.membrane_strain_profile(sol.u, [k - 1e-13])[0]
-                     - sol.ops.membrane_strain_profile(sol.u, [k + 1e-13])[0])
+        jumps = [abs(strains_at(sol.ops, sol.u, [k - 1e-13])[0][0]
+                     - strains_at(sol.ops, sol.u, [k + 1e-13])[0][0])
                  for k in bp[1:-1]]
         assert max(jumps) > 0.0
 
@@ -302,13 +302,13 @@ class TestFieldRecovery:
     def test_zero_displacement_zero_force(self, quarter_circle):
         u = np.zeros((3, 2))
         ops = PatchOperators(quarter_circle, UNIT_SECTION, ElementFormulation.CAS)
-        n = ops.membrane_force_profile(u, np.linspace(0, 1, 7))
+        n = ops.section.ea * strains_at(ops, u, np.linspace(0, 1, 7))[0]
         np.testing.assert_array_equal(n, 0.0)
 
     def test_rigid_translation_zero_moment(self, quarter_circle):
         u = np.tile([0.4, 0.7], (3, 1))
         ops = PatchOperators(quarter_circle, UNIT_SECTION, ElementFormulation.NURBS_FULL)
-        m = ops.bending_moment_profile(u, [0.3, 0.6])
+        m = ops.section.ei * strains_at(ops, u, [0.3, 0.6])[1]
         np.testing.assert_allclose(m, 0.0, atol=1e-12)
 
     def test_tip_moment_gives_constant_moment_field(self):
@@ -322,7 +322,7 @@ class TestFieldRecovery:
         coeff = np.array([t[b + 1] * t[b + 2] for b in range(rod.n_basis)])
         u = np.column_stack([np.zeros_like(coeff), coeff * m0 / (2 * section.ei)])
         ops = PatchOperators(rod, section, ElementFormulation.NURBS_FULL)
-        m = ops.bending_moment_profile(u, np.linspace(1e-9, 1 - 1e-9, 21))
+        m = ops.section.ei * strains_at(ops, u, np.linspace(1e-9, 1 - 1e-9, 21))[1]
         np.testing.assert_allclose(m, m0, rtol=1e-9)
 
     def test_cas_ring_membrane_force_accuracy(self):
@@ -335,8 +335,8 @@ class TestFieldRecovery:
         phis = np.array([problem.angle_map(evaluate_geometry(problem.curve, float(x))[0])
                          for x in xis])
         n_exact = np.array([problem.exact_n(p) for p in phis])
-        n_cas = sol_cas.ops.membrane_force_profile(sol_cas.u, xis)
-        n_std = sol_std.ops.membrane_force_profile(sol_std.u, xis)
+        n_cas = sol_cas.ops.section.ea * strains_at(sol_cas.ops, sol_cas.u, xis)[0]
+        n_std = sol_std.ops.section.ea * strains_at(sol_std.ops, sol_std.u, xis)[0]
         assert np.abs(n_cas - n_exact).max() < 0.06 * 0.5
         assert np.abs(n_std).max() > 10 * 0.5
 
@@ -350,7 +350,7 @@ class TestFieldRecovery:
         for e in range(32):
             mid, half = 0.5 * (bp[e] + bp[e + 1]), 0.5 * (bp[e + 1] - bp[e])
             xi_q = mid + half * pts
-            m_h = sol.ops.bending_moment_profile(sol.u, xi_q)
+            m_h = sol.ops.section.ei * strains_at(sol.ops, sol.u, xi_q)[1]
             m_ex = np.array([problem.exact_m(problem.angle_map(
                 evaluate_geometry(problem.curve, float(x))[0])) for x in xi_q])
             mean_h = wts @ m_h

@@ -25,6 +25,7 @@ from casrod.metrics import FIELD_COLUMNS, _nudge_off_knots
 from casrod.rod import ROT90, frames_at
 from casrod.splines import NurbsCurve
 
+from conftest import strains_at
 from oracles import arc_lengths_at, element_arc_lengths
 
 
@@ -57,10 +58,12 @@ class TestL2Errors:
             return displacement_at(sol, xis_of(phi)).reshape(np.shape(phi) + (2,))
 
         def n_from_solution(phi):
-            return sol.ops.membrane_force_profile(sol.u, xis_of(phi)).reshape(np.shape(phi))
+            eps = strains_at(sol.ops, sol.u, xis_of(phi))[0]
+            return (sol.ops.section.ea * eps).reshape(np.shape(phi))
 
         def m_from_solution(phi):
-            return sol.ops.bending_moment_profile(sol.u, xis_of(phi)).reshape(np.shape(phi))
+            kappa = strains_at(sol.ops, sol.u, xis_of(phi))[1]
+            return (sol.ops.section.ei * kappa).reshape(np.shape(phi))
 
         injected = dataclasses.replace(problem, exact_u=u_from_solution,
                                        exact_n=n_from_solution,
@@ -210,10 +213,9 @@ class TestBatchedCallbacks:
         # sharing the batch leaves the recovered fields bit for bit unchanged
         xis = np.linspace(0.01, 0.99, 37)
         fb = frames_at(problem.curve, xis)
-        np.testing.assert_array_equal(sol.ops.membrane_force_profile(sol.u, xis, fb),
-                                      sol.ops.membrane_force_profile(sol.u, xis))
-        np.testing.assert_array_equal(sol.ops.bending_moment_profile(sol.u, xis, fb),
-                                      sol.ops.bending_moment_profile(sol.u, xis))
+        shared = frames_at(problem.curve, np.concatenate([xis, [0.5, 1.0]]))[:len(xis)]
+        for got, want in zip(sol.ops.strains(sol.u, shared), sol.ops.strains(sol.u, fb)):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(casrod.splines.combine(sol.u, fb.first_active, fb.values),
                                       displacement_at(sol, xis))
 

@@ -351,3 +351,14 @@ class TestBatchSizeIndependence:
         many = displacement_at(solution, xis)
         for i in [0, 4096, *rng.choice(4097, 60, replace=False)]:
             assert displacement_at(solution, xis[i]).tobytes() == many[i].tobytes()
+
+    @pytest.mark.parametrize("form", list(ElementFormulation), ids=lambda f: f.value)
+    def test_strains(self, form):
+        solution = solve_problem(build_arch_half(16, 0.01), form)
+        rng = np.random.default_rng(11)
+        xis = self._batch(solution.curve, rng)
+        many = solution.ops.strains(solution.u, frames_at(solution.curve, xis))
+        for i in [0, 4096, *rng.choice(4097, 60, replace=False)]:
+            one = solution.ops.strains(solution.u, frames_at(solution.curve, xis[i]))
+            for got, want in zip(one, many):
+                assert got.tobytes() == want[i].tobytes(), i
