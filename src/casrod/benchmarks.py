@@ -233,23 +233,28 @@ def _arch_exact(t: float):
           / (6 * math.pi**3 * (c1 / radius) - 24 * math.pi * c3))
     a3 = -2 * q * radius * (c1 - c2) / 3 - 3 * q * radius**2 * c3 / 4
 
-    def u_tangential(phi):
-        return (a1 * (c1 * phi * np.sin(phi) - c3 * radius * (1 - np.cos(phi)))
-                - a2 * c3 * (phi - np.sin(phi)) + a3 * np.sin(phi)
-                - q * radius * (np.sin(2 * phi) * (2 / 3 * c1 - c2 / 6 - c3 * radius / 8)
+    def _trig(phi):  # all the trigonometry of u, evaluated once per exact_u call
+        return np.sin(phi), np.cos(phi), np.sin(2 * phi), np.cos(2 * phi)
+
+    def u_tangential(phi, trig=None):
+        sin, cos, sin2, _ = _trig(phi) if trig is None else trig
+        return (a1 * (c1 * phi * sin - c3 * radius * (1 - cos))
+                - a2 * c3 * (phi - sin) + a3 * sin
+                - q * radius * (sin2 * (2 / 3 * c1 - c2 / 6 - c3 * radius / 8)
                                 - phi * c3 * radius / 2))
 
-    def u_normal(phi):
-        return (a1 * (c1 * (phi * np.cos(phi) - np.sin(phi))
-                      + c2 * np.sin(phi) - c3 * radius * np.sin(phi))
-                - a2 * c3 * (1 - np.cos(phi)) + a3 * np.cos(phi)
+    def u_normal(phi, trig=None):
+        sin, cos, _, cos2 = _trig(phi) if trig is None else trig
+        return (a1 * (c1 * (phi * cos - sin)
+                      + c2 * sin - c3 * radius * sin)
+                - a2 * c3 * (1 - cos) + a3 * cos
                 + q * radius * (c1 - c2 / 2 + c3 * radius / 2
-                                - np.cos(2 * phi) * (c1 / 3 + c2 / 6 - c3 * radius / 4)))
+                                - cos2 * (c1 / 3 + c2 / 6 - c3 * radius / 4)))
 
     def exact_u(phi):
-        ut, un = u_tangential(phi), u_normal(phi)
-        return np.stack([ut * np.sin(phi) + un * np.cos(phi),
-                         ut * np.cos(phi) - un * np.sin(phi)], axis=-1)
+        trig = sin, cos, _, _ = _trig(phi)
+        ut, un = u_tangential(phi, trig), u_normal(phi, trig)
+        return np.stack([ut * sin + un * cos, ut * cos - un * sin], axis=-1)
 
     def exact_n(phi):
         return a1 * np.sin(phi) - q * radius * np.cos(phi)**2

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cholesky_banded, solveh_banded
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtbtrs
@@ -63,11 +63,11 @@ class ElementMatrices:
     dof_map: np.ndarray
 
 
-def _membrane_rows(fb: FrameBatch) -> np.ndarray:
+def _membrane_rows(fb: FrameBatch, out: np.ndarray | None = None) -> np.ndarray:
     """Strain-displacement rows eps = row . u_e, interleaved (x, y) per function."""
-    m = np.empty((len(fb), 2 * fb.dN_ds.shape[1]))
-    m[:, 0::2] = fb.a1[:, 0:1] * fb.dN_ds
-    m[:, 1::2] = fb.a1[:, 1:2] * fb.dN_ds
+    m = np.empty((len(fb), 2 * fb.dN_ds.shape[1])) if out is None else out
+    np.multiply(fb.a1[:, 0:1], fb.dN_ds, out=m[:, 0::2])
+    np.multiply(fb.a1[:, 1:2], fb.dN_ds, out=m[:, 1::2])
     return m
 
 
@@ -133,33 +133,35 @@ class PatchOperators:
         m = n_el * nq
         fb = frames_at(curve, np.concatenate([self.xi_q.reshape(-1), extra]))
         fq = fb[:m]
-        self.values = fq.values.reshape(n_el, nq, p + 1)
-        self.mrows = _membrane_rows(fq).reshape(n_el, nq, 2 * (p + 1))
+        self.values = np.asfortranarray(fq.values).reshape(n_el, nq, p + 1)  # fb is freed below
+        pair_rows = form in (ElementFormulation.CAS, ElementFormulation.LOCAL_ANS)
+        self.mrows = None if pair_rows else _membrane_rows(fq).reshape(n_el, nq, 2 * (p + 1))
         self.brows = _bending_rows(fq).reshape(n_el, nq, 2 * (p + 1))
         self.wds = fq.jac.reshape(n_el, nq) * halves[:, None] * self.quad.weights
+        if form is ElementFormulation.CAS:
+            rows = self._cas_pair_rows(fb[m:])
+        elif form is ElementFormulation.LOCAL_ANS:
+            assert np.array_equal(fb.first_active[m:], np.repeat(np.arange(n_el), 2))
+            rows = _membrane_rows(fb[m:]).reshape(n_el, 2, -1)
+        del fb, fq  # free the frames before the element blocks are formed
 
-        self._kb = _weighted_gram(section.ei * self.wds, self.brows)
-        self._km = None
+        kb = _weighted_gram(section.ei * self.wds, self.brows)
+        km = None  # the membrane blocks of the element-local formulations
         self._pair = None  # (strain rows, node) of the assumed-strain pair forms
         self._patch_projection = None
 
         if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
-            self._km = _weighted_gram(section.ea * self.wds, self.mrows)
+            km = _weighted_gram(section.ea * self.wds, self.mrows)
         elif form is not ElementFormulation.GLOBAL_BBAR:
             node = _GAUSS2_NODE if form is ElementFormulation.LOCAL_ANS else 1.0
             mass = self._pair_mass(node)
-            if form is ElementFormulation.CAS:
-                rows = self._cas_pair_rows(fb[m:])
-            elif form is ElementFormulation.LOCAL_ANS:
-                fx = fb[m:]
-                assert np.array_equal(fx.first_active, np.repeat(np.arange(n_el), 2))
-                rows = _membrane_rows(fx).reshape(n_el, 2, -1)
-            elif form is ElementFormulation.LOCAL_BBAR:
+            if form is ElementFormulation.LOCAL_BBAR:
                 rows = self._local_projection(mass)
-            else:
-                raise AssertionError(form)
             self._pair = (rows, node)
-            self._km = self._pair_stiffness(mass, rows)
+            km = self._pair_stiffness(mass, rows)
+        k = kb if km is None else np.add(km, kb, out=km)
+        # the symmetric part, formed in kb's buffer, drops contraction-order roundoff
+        self._blocks = np.multiply(np.add(k, np.swapaxes(k, 1, 2), out=kb), 0.5, out=kb)
 
     # -- precomputation helpers ----------------------------------------------
 
@@ -177,7 +179,8 @@ class PatchOperators:
 
     def _pair_stiffness(self, mass: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """EA * rows^T M rows per element, for 2 x (2(p+1)) strain rows."""
-        return self.section.ea * (np.swapaxes(rows, 1, 2) @ (mass @ rows))
+        k = np.swapaxes(rows, 1, 2) @ (mass @ rows)
+        return np.multiply(k, self.section.ea, out=k)
 
     def _local_projection(self, mass: np.ndarray) -> np.ndarray:
         """Element-local L2 projection of the strain rows onto the linear pair."""
@@ -198,31 +201,22 @@ class PatchOperators:
         arc-length derivative at the shared knot.
         """
         n_el = self.curve.n_elements
-        rows = _membrane_rows(fb)
         expected = np.minimum(np.arange(n_el + 1), n_el - 1)
         assert np.array_equal(fb.first_active, expected)
-        pair = np.zeros((n_el, 2, rows.shape[1]))
-        pair[:, 0, :] = rows[:-1]
-        if n_el > 1:
-            pair[:-1, 1, 2:] = rows[1:-1, :-2]
-        pair[-1, 1, :] = rows[-1]
-        return pair
+        # row 0 of entry e is the row at knot e; entry n_el only stages the end row
+        pair = np.zeros((n_el + 1, 2, fb.dN_ds.shape[1] * 2))
+        rows = _membrane_rows(fb, out=pair[:, 0])
+        pair[:-2, 1, 2:] = rows[1:-1, :-2]
+        pair[-2, 1] = rows[-1]
+        return pair[:-1]
 
     # -- element blocks -------------------------------------------------------
 
     def dof_map(self, element: int) -> np.ndarray:
         return np.arange(2 * element, 2 * (element + self.curve.degree + 1))
 
-    def _element_stiffness(self, element=slice(None)) -> np.ndarray:
-        k = self._kb[element]
-        if self._km is not None:
-            k = k + self._km[element]
-        # remove contraction-order roundoff asymmetry
-        return 0.5 * (k + np.swapaxes(k, -1, -2))
-
     def element_matrices(self, element: int) -> ElementMatrices:
-        return ElementMatrices(k=self._element_stiffness(element),
-                               dof_map=self.dof_map(element))
+        return ElementMatrices(k=self._blocks[element].copy(), dof_map=self.dof_map(element))
 
     def stiffness_band(self) -> np.ndarray:
         """Patch stiffness in upper-band storage (see `banded`).
@@ -241,7 +235,7 @@ class PatchOperators:
         m = 2 * (self.curve.degree + 1)
         hb = n_dof - 1 if dense else m - 1
         ab = np.zeros((hb + 1, n_dof))
-        blocks = self._element_stiffness()
+        blocks = self._blocks
         for b in reversed(range(m)):
             for a in range(b + 1):
                 ab[hb + a - b, b:b + 2 * len(blocks):2] += blocks[:, a, b]
@@ -298,11 +292,16 @@ class PatchOperators:
         strain for CAS / local B-bar / local ANS / global B-bar, the
         compatible strain for standard NURBS. kappa is the compatible
         curvature change. The element of each point is `frames.first_active`;
-        N = EA eps and M = EI kappa.
+        N = EA eps and M = EI kappa. `frames` must come from this very curve.
         """
+        if frames.curve is not self.curve:
+            raise ValueError("frames were evaluated on another curve than these operators'")
         u_flat = np.asarray(u, dtype=float).reshape(-1)
+        if u_flat.shape != (2 * self.curve.n_basis,):  # keeps the windows inside u
+            raise ValueError(f"u has {u_flat.size} dofs, not {2 * self.curve.n_basis}")
         e = frames.first_active
-        windows = sliding_window_view(u_flat, 2 * (self.curve.degree + 1))[::2]  # element dofs
+        s, shape = u_flat.strides[0], (self.curve.n_elements, 2 * self.curve.degree + 2)
+        windows = as_strided(u_flat, shape, (2 * s, s), writeable=False)  # element e's dofs
         win = windows[e]
         kappa = np.einsum("mi,mi->m", _bending_rows(frames), win)
         form = self.formulation

@@ -4,17 +4,18 @@ The rod axis is a plane NURBS curve reparametrized by arc length s. The local
 frame is the unit tangent a1 and the unit normal a2 = rot90(a1) (counter-
 clockwise pair). Membrane strain eps = a1 . du/ds and bending strain
 kappa = a2 . d2u/ds2 + da2/ds . du/ds; stress resultants are N = EA*eps and
-M = EI*kappa.
+M = EI*kappa. `frames_at` finishes the basis block of `splines` in place; a
+batch records its curve, and its arrays may be views: treat them as read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateParametrizationError
-from .splines import NurbsCurve, combine, nurbs_basis_many
+from .splines import NurbsCurve, _basis_block
 
 __all__ = ["ROT90", "FrameBatch", "CrossSection", "ControlDisplacements", "frames_at"]
 
@@ -57,7 +58,8 @@ class ControlDisplacements:
 
 @dataclass
 class FrameBatch:
-    """Vectorized frames: row i of every array belongs to the i-th point."""
+    """Vectorized frames: row i of every array belongs to the i-th point.
+    `curve`, the curve evaluated, is an attribute, not a per-point field."""
 
     xi: np.ndarray             # (m,) parametric coordinates of the points
     first_active: np.ndarray   # (m,) int, also the element of each point
@@ -68,6 +70,10 @@ class FrameBatch:
     dN_ds: np.ndarray          # (m, p+1)
     d2N_ds2: np.ndarray        # (m, p+1)
     values: np.ndarray         # (m, p+1) basis values
+    curve: InitVar[NurbsCurve | None] = None
+
+    def __post_init__(self, curve):
+        self.curve = curve
 
     def __len__(self) -> int:
         return len(self.jac)
@@ -75,8 +81,7 @@ class FrameBatch:
     def __getitem__(self, index) -> FrameBatch:
         """The batch of the selected points (an index array or a slice); an
         integer index gives the unbatched rows of that one point."""
-        return FrameBatch(*(getattr(self, f.name)[index] for f in fields(self)))
-
+        return FrameBatch(*(getattr(self, f.name)[index] for f in fields(self)), curve=self.curve)
 
 
 def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
@@ -89,25 +94,26 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     from r'' rather than by numerical differentiation.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    bb = nurbs_basis_many(curve, xis, max_deriv=2)
-    r1 = combine(curve.control_points, bb.first_active, bb.d1)
-    r2 = combine(curve.control_points, bb.first_active, bb.d2)
-    jac = np.hypot(r1[:, 0], r1[:, 1])
+    first, block = _basis_block(curve.knot_vector, xis, 2, curve.weights)
+    q = curve.control_points.T.take(first + np.arange(curve.degree + 1)[:, None], axis=1)
+    r = np.zeros((2, 2, len(xis)))  # x, y rows of r', r'': summed from 0 in j order at any m
+    for j in range(curve.degree + 1):
+        r += block[1:, j, None] * q[:, j]
+    del q  # before the geometry temporaries
+    (r1, r2), (_, d1, d2) = r, block
+    jac = np.hypot(*r1)
     if (jac < _MIN_JACOBIAN).any():
         raise DegenerateParametrizationError(
             f"zero parametric speed at xi={xis[np.argmax(jac < _MIN_JACOBIAN)]}")
-    jac_col = jac[:, None]
-    jac_sq = jac_col**2
-    a1 = r1 / jac_col
-    a2 = a1 @ ROT90.T
+    jac_sq = jac**2
+    rdot = np.einsum("cm,cm->m", r1, r2)
+    a1 = np.divide(r1, jac, out=r1)
     # da1/ds: normal projection of r'' scaled by jac^2.
-    proj = np.einsum("mc,mc->m", a1, r2)
-    da1_ds = r2 - a1 * proj[:, None]
+    da1_ds = np.subtract(r2, a1 * np.einsum("cm,cm->m", a1, r2), out=r2)
     da1_ds /= jac_sq
-    da2_ds = da1_ds @ ROT90.T
-    rdot = np.einsum("mc,mc->m", r1, r2)
-    dn_ds = bb.d1 / jac_col
-    d2n_ds2 = bb.d2 / jac_sq
-    d2n_ds2 -= bb.d1 * (rdot / jac**4)[:, None]
-    return FrameBatch(xis, bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values)
-
+    d2 /= jac_sq
+    d2 -= d1 * (rdot / jac**4)
+    d1 /= jac
+    values, dn_ds, d2n_ds2 = np.swapaxes(block, 1, 2)
+    return FrameBatch(xis, first, a1.T, (ROT90 @ a1).T, (ROT90 @ da1_ds).T, jac,
+                      dn_ds, d2n_ds2, values, curve=curve)

@@ -3,7 +3,9 @@
 The parametric domain is fixed to [0, 1]. Knot vectors are open with no repeated
 interior knots, so the basis has maximal C^(p-1) continuity and every nonzero
 knot span acts as one element. The basis kernel is Piegl & Tiller's triangle
-(The NURBS Book, algorithms A2.2 and A2.3), vectorized over the points.
+(The NURBS Book, algorithms A2.2 and A2.3), vectorized over the points. It fills
+one stacked (max_deriv+1, p+1, m) block and applies the rational quotient rule in
+place on it; a `BasisBatch` holds transposed views of it: treat them as read-only.
 """
 
 from __future__ import annotations
@@ -142,17 +144,19 @@ def _find_spans(kv: KnotVector, xis: np.ndarray) -> np.ndarray:
     return t[p + 1:len(t) - p - 1].searchsorted(xis, side="right") + p
 
 
-def _difference_step(x: np.ndarray, scale: int) -> np.ndarray:
-    """Rows scale * (x[j-1] - x[j]) for j = 0..n, with x[-1] = x[n] = 0."""
-    out = np.zeros((x.shape[0] + 1, x.shape[1]))
+def _difference_step(x: np.ndarray, scale: int, out: np.ndarray) -> np.ndarray:
+    """Rows scale * (x[j-1] - x[j]) for j = 0..n into out, with x[-1] = x[n] = 0."""
+    out[0] = 0.0
     out[1:] = x
     out[:-1] -= x
     out *= scale
     return out
 
 
-def bspline_basis_many(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
-    """Nonzero B-spline basis values and parametric derivatives at each xi.
+def _basis_block(kv: KnotVector, xis, max_deriv: int,
+                 weights: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """First active function of each xi, and the block: block[d, r, i] is derivative
+    d of function first_active[i] + r at xis[i], rational when weights are given.
 
     Level j of the triangle turns the j nonzero degree-(j-1) functions N
     into j+1 degree-j ones through the ratios N_r / (t[k+1+r] - t[k+1-j+r]).
@@ -167,22 +171,39 @@ def bspline_basis_many(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
     win = t.take(k + np.arange(1 - p, p + 1)[:, None])  # rows t[k+1-p] .. t[k+p]
     left = xis - win[:p]                                 # xi - t[k+1-p+c]
     right = win[p:] - xis                                # t[k+1+c] - xi
-    values, ratios = 1.0, []
+    block = np.zeros((1 + min(max(max_deriv, 0), 2), p + 1, m))  # values, d1, d2 at most
+    values, ratios = block[0], []
+    values[0] = 1.0
     for j in range(1, p + 1):
         span = win[p:p + j] - win[p - j:p]
-        ratio = values / span
-        values = np.zeros((j + 1, m))
+        ratio = values[:j] / span
         np.multiply(right[:j], ratio, out=values[:j])
-        values[1:] += left[p - j:] * ratio
+        values[1:j + 1] += left[p - j:] * ratio
         ratios.append(ratio)
-    d1 = d2 = None
     if max_deriv >= 1:
-        d1 = _difference_step(ratios[p - 1], p).T
-    if max_deriv >= 2:
-        d2 = np.zeros((m, p + 1))
-        if p >= 2:  # span holds the top level's t[k+1+r] - t[k+1-p+r]
-            d2 = _difference_step(_difference_step(ratios[p - 2], p - 1) / span, p).T
-    return BasisBatch(k - p, values.T, d1, d2)
+        _difference_step(ratios[p - 1], p, block[1])
+    if max_deriv >= 2 and p >= 2:  # span holds the top level's t[k+1+r] - t[k+1-p+r]
+        _difference_step(ratios[p - 2], p - 1, ratios[p - 1])  # into the spent top ratios
+        _difference_step(np.divide(ratios[p - 1], span, out=ratios[p - 1]), p, block[2])
+    del win, left, right, ratios, ratio, span  # free the triangle's rows first
+    if weights is not None:  # the quotient rule, in place on the weighted rows
+        block *= weights.take(k - p + np.arange(p + 1)[:, None])
+        wsum = block.sum(axis=1)  # W, W', W'' at every point
+        block[0] /= wsum[0]
+        if max_deriv >= 1:
+            block[1] -= block[0] * wsum[1]
+            block[1] /= wsum[0]
+        if max_deriv >= 2:
+            block[2] -= 2.0 * block[1] * wsum[1]
+            block[2] -= block[0] * wsum[2]
+            block[2] /= wsum[0]
+    return k - p, block
+
+
+def bspline_basis_many(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
+    """Nonzero B-spline basis values and parametric derivatives at each xi."""
+    first, block = _basis_block(kv, xis, max_deriv)
+    return BasisBatch(first, *np.swapaxes(block, 1, 2))
 
 
 def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
@@ -191,28 +212,8 @@ def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
     Quotient rule applied to the weighted B-spline sum; partition of unity
     holds for the values and the derivative rows sum to zero.
     """
-    bb = bspline_basis_many(curve.knot_vector, xis, max_deriv)
-    # row j holds function j at every point, the layout bspline_basis_many
-    # computes in, so each sum over the p + 1 functions adds whole rows
-    w = curve.weights.take(bb.first_active + np.arange(curve.degree + 1)[:, None])
-    a = w * bb.values.T
-    wsum = a.sum(axis=0)
-    r = a / wsum
-    r1 = r2 = None
-    if max_deriv >= 1:  # the quotient rule, in place on the weighted derivatives
-        r1 = w * bb.d1.T
-        w1 = r1.sum(axis=0)
-        r1 -= r * w1
-        r1 /= wsum
-        if max_deriv >= 2:
-            r2 = w * bb.d2.T
-            w2 = r2.sum(axis=0)
-            r2 -= 2.0 * r1 * w1
-            r2 -= r * w2
-            r2 /= wsum
-            r2 = r2.T
-        r1 = r1.T
-    return BasisBatch(bb.first_active, r.T, r1, r2)
+    first, block = _basis_block(curve.knot_vector, xis, max_deriv, curve.weights)
+    return BasisBatch(first, *np.swapaxes(block, 1, 2))
 
 
 def combine(control: np.ndarray, first_active: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import casrod.rod
 import casrod.splines
 from casrod import KnotVector, NurbsCurve, make_open_uniform_knot_vector
 from casrod.rod import frames_at
@@ -48,10 +49,15 @@ def straight_rod_4():
 @pytest.fixture
 def basis_calls(monkeypatch):
     """List that grows by one per basis evaluation: every one (nurbs_basis_many,
-    frames_at, evaluate_geometry, displacement_at) goes through
-    splines.bspline_basis_many."""
+    frames_at, evaluate_geometry, displacement_at) fills one block in
+    splines._basis_block."""
     calls = []
-    original = casrod.splines.bspline_basis_many
-    monkeypatch.setattr(casrod.splines, "bspline_basis_many",
-                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    original = casrod.splines._basis_block
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(casrod.splines, "_basis_block", counted)
+    monkeypatch.setattr(casrod.rod, "_basis_block", counted)
     return calls

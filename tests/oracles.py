@@ -11,13 +11,20 @@
 - The Cox-de Boor triangle with the degree-reduction derivative formula, one
   basis function per column and 0/0 read as 0: the oracle for the Piegl-Tiller
   kernel of `splines.bspline_basis_many`.
+- The same Piegl-Tiller triangle, quotient rule and frame geometry with one
+  fresh array per step (`unstacked_bspline_basis`, `unstacked_nurbs_basis`,
+  `unstacked_frames`): the byte-for-byte oracle for the stacked block that
+  `splines._basis_block` fills and `rod.frames_at` finishes in place.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from casrod.splines import BasisBatch, KnotVector, NurbsCurve, _find_spans, nurbs_basis_many
+from casrod.errors import DegenerateParametrizationError
+from casrod.rod import _MIN_JACOBIAN, ROT90, FrameBatch
+from casrod.splines import (BasisBatch, KnotVector, NurbsCurve, _find_spans, combine,
+                            nurbs_basis_many)
 
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
 
@@ -171,3 +178,88 @@ def bspline_basis_triangle(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatc
         else:
             d2 = np.zeros((len(xis), p + 1))
     return BasisBatch(k - p, tri[p], d1, d2)
+
+
+def _difference_step(x: np.ndarray, scale: int) -> np.ndarray:
+    """Rows scale * (x[j-1] - x[j]) for j = 0..n, with x[-1] = x[n] = 0."""
+    out = np.zeros((x.shape[0] + 1, x.shape[1]))
+    out[1:] = x
+    out[:-1] -= x
+    out *= scale
+    return out
+
+
+def unstacked_bspline_basis(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
+    """The Piegl-Tiller triangle with a fresh array per level and step."""
+    xis = np.asarray(xis, dtype=float).reshape(-1)
+    p, t, m = kv.degree, kv.knots, len(xis)
+    k = _find_spans(kv, xis)
+    win = t.take(k + np.arange(1 - p, p + 1)[:, None])  # rows t[k+1-p] .. t[k+p]
+    left = xis - win[:p]                                 # xi - t[k+1-p+c]
+    right = win[p:] - xis                                # t[k+1+c] - xi
+    values, ratios = 1.0, []
+    for j in range(1, p + 1):
+        span = win[p:p + j] - win[p - j:p]
+        ratio = values / span
+        values = np.zeros((j + 1, m))
+        np.multiply(right[:j], ratio, out=values[:j])
+        values[1:] += left[p - j:] * ratio
+        ratios.append(ratio)
+    d1 = d2 = None
+    if max_deriv >= 1:
+        d1 = _difference_step(ratios[p - 1], p).T
+    if max_deriv >= 2:
+        d2 = np.zeros((m, p + 1))
+        if p >= 2:  # span holds the top level's t[k+1+r] - t[k+1-p+r]
+            d2 = _difference_step(_difference_step(ratios[p - 2], p - 1) / span, p).T
+    return BasisBatch(k - p, values.T, d1, d2)
+
+
+def unstacked_nurbs_basis(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
+    """The quotient rule on `unstacked_bspline_basis`, one array per row set."""
+    bb = unstacked_bspline_basis(curve.knot_vector, xis, max_deriv)
+    w = curve.weights.take(bb.first_active + np.arange(curve.degree + 1)[:, None])
+    a = w * bb.values.T
+    wsum = a.sum(axis=0)
+    r = a / wsum
+    r1 = r2 = None
+    if max_deriv >= 1:
+        r1 = w * bb.d1.T
+        w1 = r1.sum(axis=0)
+        r1 -= r * w1
+        r1 /= wsum
+        if max_deriv >= 2:
+            r2 = w * bb.d2.T
+            w2 = r2.sum(axis=0)
+            r2 -= 2.0 * r1 * w1
+            r2 -= r * w2
+            r2 /= wsum
+            r2 = r2.T
+        r1 = r1.T
+    return BasisBatch(bb.first_active, r.T, r1, r2)
+
+
+def unstacked_frames(curve: NurbsCurve, xis) -> FrameBatch:
+    """Frames from `unstacked_nurbs_basis`, two gathers and (m, 2) geometry."""
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    bb = unstacked_nurbs_basis(curve, xis, max_deriv=2)
+    r1 = combine(curve.control_points, bb.first_active, bb.d1)
+    r2 = combine(curve.control_points, bb.first_active, bb.d2)
+    jac = np.hypot(r1[:, 0], r1[:, 1])
+    if (jac < _MIN_JACOBIAN).any():
+        raise DegenerateParametrizationError(
+            f"zero parametric speed at xi={xis[np.argmax(jac < _MIN_JACOBIAN)]}")
+    jac_col = jac[:, None]
+    jac_sq = jac_col**2
+    a1 = r1 / jac_col
+    a2 = a1 @ ROT90.T
+    proj = np.einsum("mc,mc->m", a1, r2)
+    da1_ds = r2 - a1 * proj[:, None]
+    da1_ds /= jac_sq
+    da2_ds = da1_ds @ ROT90.T
+    rdot = np.einsum("mc,mc->m", r1, r2)
+    dn_ds = bb.d1 / jac_col
+    d2n_ds2 = bb.d2 / jac_sq
+    d2n_ds2 -= bb.d1 * (rdot / jac**4)[:, None]
+    return FrameBatch(xis, bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values,
+                      curve=curve)

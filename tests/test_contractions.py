@@ -36,7 +36,8 @@ def _oracle(ops: PatchOperators):
     if form in (F.NURBS_FULL, F.NURBS_REDUCED):
         return blocks + np.einsum("eq,eqi,eqj->eij", ea * wds, ops.mrows, ops.mrows), None
     ends = _linear_pair(ops.quad.points, 1.0)
-    moments = np.einsum("eq,ql,eqi->eli", wds, ends, ops.mrows)
+    if form in (F.LOCAL_BBAR, F.GLOBAL_BBAR):  # CAS and local ANS keep no mrows
+        moments = np.einsum("eq,ql,eqi->eli", wds, ends, ops.mrows)
     if form is F.GLOBAL_BBAR:
         n_el = ops.curve.n_elements
         mass = np.einsum("eq,ql,qm->elm", wds, ends, ends)

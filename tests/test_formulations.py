@@ -13,7 +13,8 @@ from casrod import (
     evaluate_geometry,
     solve_problem,
 )
-from casrod.formulations import _GAUSS2_NODE, _linear_pair
+from casrod.formulations import _GAUSS2_NODE, _linear_pair, _weighted_gram
+from casrod.rod import frames_at
 
 from conftest import straight_rod, strains_at
 from oracles import greville_abscissae
@@ -80,8 +81,8 @@ class TestElementInvariants:
         # at a common quadrature rule the bending block is identical across
         # all formulations (only the membrane treatment differs)
         section = CrossSection(1e6, 1.0)
-        blocks = [PatchOperators(quarter_circle, section, f, quad_points=3)._kb
-                  for f in ALL_FORMS]
+        patches = [PatchOperators(quarter_circle, section, f, quad_points=3) for f in ALL_FORMS]
+        blocks = [_weighted_gram(section.ei * ops.wds, ops.brows) for ops in patches]
         for other in blocks[1:]:
             np.testing.assert_array_equal(other, blocks[0])
 
@@ -310,6 +311,25 @@ class TestFieldRecovery:
         ops = PatchOperators(quarter_circle, UNIT_SECTION, ElementFormulation.NURBS_FULL)
         m = ops.section.ei * strains_at(ops, u, [0.3, 0.6])[1]
         np.testing.assert_allclose(m, 0.0, atol=1e-12)
+
+    def test_frames_of_another_curve_rejected(self):
+        # the frames of an 8-element arch at the same points used to give the
+        # 16-element CAS solution's eps up to 25% off, without an error
+        solution = solve_problem(build_arch_half(16, 0.01), ElementFormulation.CAS)
+        xis = np.linspace(0.1, 0.9, 5)
+        for curve in (build_arch_half(8, 0.01).curve, build_arch_half(16, 0.01).curve):
+            with pytest.raises(ValueError, match="another curve"):
+                solution.ops.strains(solution.u, frames_at(curve, xis))
+        own = frames_at(solution.ops.curve, xis)
+        assert own.curve is solution.ops.curve and own[1:3].curve is own.curve
+        solution.ops.strains(solution.u, own[1:3])
+
+    def test_displacements_of_another_size_rejected(self):
+        ops = PatchOperators(build_arch_half(4, 0.01).curve, UNIT_SECTION, ElementFormulation.CAS)
+        frames = frames_at(ops.curve, [0.2, 0.9])
+        for n in (ops.curve.n_basis - 1, ops.curve.n_basis + 1):
+            with pytest.raises(ValueError, match="dofs, not"):
+                ops.strains(np.zeros((n, 2)), frames)
 
     def test_tip_moment_gives_constant_moment_field(self):
         # beam-theory oracle: u_y = M0 s^2 / (2 EI) is the exact cantilever

@@ -15,7 +15,8 @@ from casrod.splines import bspline_basis_many, nurbs_basis_many
 
 from conftest import CONIC_W
 from oracles import (arc_length_at, arc_lengths_at, bspline_basis_triangle,
-                     element_arc_lengths, greville_abscissae, insert_knot, refine_uniform)
+                     element_arc_lengths, greville_abscissae, insert_knot, refine_uniform,
+                     unstacked_bspline_basis, unstacked_frames, unstacked_nurbs_basis)
 
 
 def naive_cox_de_boor(t, p, i, xi):
@@ -362,3 +363,45 @@ class TestBatchSizeIndependence:
             one = solution.ops.strains(solution.u, frames_at(solution.curve, xis[i]))
             for got, want in zip(one, many):
                 assert got.tobytes() == want[i].tobytes(), i
+
+
+class TestStackedBlockOracle:
+    """The stacked basis block and the in-place frame geometry give the bytes
+    of the per-array kernels they replaced (`oracles.unstacked_*`), field by
+    field, for whole batches and for single points."""
+
+    @staticmethod
+    def _curves(p, n_elements, rng):
+        if p == 2:
+            yield build_ellipse_quarter(n_elements, 0.004).curve
+        interior = np.sort(rng.random(n_elements - 1))
+        kv = KnotVector(p, np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]))
+        yield NurbsCurve(kv, rng.standard_normal((kv.n_basis, 2)), 0.5 + rng.random(kv.n_basis))
+
+    @staticmethod
+    def _assert_same_bytes(got, want):
+        for f in fields(want):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            if w is None:
+                assert g is None, f.name
+            else:
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), f.name
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_elements", [1, 16, 1024])
+    def test_fields_match_byte_for_byte(self, p, n_elements):
+        rng = np.random.default_rng(100 * p + n_elements)
+        for curve in self._curves(p, n_elements, rng):
+            bp = curve.knot_vector.breakpoints
+            xis = np.concatenate([rng.random(300), bp, [0.0, 1.0]])
+            singles = [xis[i:i + 1] for i in [*range(300, len(xis))[:40], -2, -1, 0, 1, 2]]
+            for batch in [xis, *singles]:
+                for max_deriv in (0, 1, 2):
+                    self._assert_same_bytes(
+                        bspline_basis_many(curve.knot_vector, batch, max_deriv),
+                        unstacked_bspline_basis(curve.knot_vector, batch, max_deriv))
+                    self._assert_same_bytes(nurbs_basis_many(curve, batch, max_deriv),
+                                            unstacked_nurbs_basis(curve, batch, max_deriv))
+                frames = frames_at(curve, batch)
+                self._assert_same_bytes(frames, unstacked_frames(curve, batch))
+                assert frames.curve is curve and frames[1:].curve is curve
