@@ -17,7 +17,6 @@ from .assembly import (
     apply_constraints,
     assemble,
     clamped_end_constraints,
-    gauss_rule,
     solve,
     symmetry_end_constraints,
 )
@@ -28,13 +27,11 @@ from .benchmarks import (
     build_ellipse_quarter,
     build_ring_quarter,
     ellipse_reference,
-    exact_fields,
     solve_problem,
     standard_slenderness_cases,
 )
 from .formulations import (
     ElementFormulation,
-    ElementMatrices,
     PatchOperators,
 )
 from .metrics import (
@@ -45,6 +42,7 @@ from .metrics import (
     l2_errors,
     sample_fields,
 )
+from .quadrature import gauss_rule
 from .rod import (
     ControlDisplacements,
     CrossSection,

@@ -27,13 +27,10 @@ from . import banded
 from .errors import (DegenerateParametrizationError, NonAxisAlignedRotationError,
                      SingularSystemError)
 from .formulations import ElementFormulation, PatchOperators
-from .quadrature import QuadratureRule, gauss_rule  # noqa: F401  (re-exported)
 from .rod import ControlDisplacements, CrossSection
 from .splines import NurbsCurve
 
 __all__ = [
-    "QuadratureRule",
-    "gauss_rule",
     "LoadSpec",
     "FixedDof",
     "TieDof",
@@ -46,7 +43,6 @@ __all__ = [
     "solution_backward_error",
     "clamped_end_constraints",
     "symmetry_end_constraints",
-    "reaction_forces",
 ]
 
 _AXIS_ALIGN_TOL = 1e-10
@@ -109,11 +105,6 @@ class GlobalSystem(_BandStiffness):
 
     ab: np.ndarray
     f: np.ndarray
-
-    @property
-    def banded(self) -> bool:
-        """True when the band is narrower than the full matrix."""
-        return self.half_bandwidth < len(self.f) - 1
 
 
 @dataclass
@@ -388,8 +379,3 @@ def _backward_error(residual: np.ndarray, k_norm1: float, u: np.ndarray,
 def solution_backward_error(k: np.ndarray, u: np.ndarray, f: np.ndarray) -> float:
     """Normwise backward error ||Ku - f|| / (||K|| ||u|| + ||f||) of a dense k."""
     return _backward_error(k @ u - f, float(np.linalg.norm(k, 1)), u, f)
-
-
-def reaction_forces(system: GlobalSystem, displacements: ControlDisplacements) -> np.ndarray:
-    """Residual K u - f of the unconstrained system (reactions at constrained dofs)."""
-    return banded.matvec(system.ab, displacements.u.reshape(-1)) - system.f

@@ -44,7 +44,6 @@ from .assembly import (
     solve,
     symmetry_end_constraints,
 )
-from .errors import MissingExactFieldError, OutOfDomainError
 from .formulations import ElementFormulation, PatchOperators
 from .rod import CrossSection
 from .splines import KnotVector, NurbsCurve
@@ -57,7 +56,6 @@ __all__ = [
     "build_ring_quarter",
     "build_arch_half",
     "build_ellipse_quarter",
-    "exact_fields",
     "ellipse_reference",
     "solve_problem",
 ]
@@ -375,24 +373,6 @@ def ellipse_reference(t: float) -> dict:
         "richardson_rel_diff": rel,
         "converged": rel < 1e-4,
     }
-
-
-def exact_fields(problem: BenchmarkProblem, phi: float) -> dict:
-    """Exact field values at angle phi; raises when the problem has none."""
-    lo, hi = problem.angle_domain
-    if not lo - 1e-12 <= phi <= hi + 1e-12:
-        raise OutOfDomainError(f"phi={phi} outside [{lo}, {hi}]")
-    if not problem.has_exact_fields:
-        raise MissingExactFieldError(
-            f"problem {problem.name!r} has reference point values only")
-    out = {}
-    if problem.exact_u is not None:
-        out["u"] = problem.exact_u(phi)
-    if problem.exact_n is not None:
-        out["N"] = problem.exact_n(phi)
-    if problem.exact_m is not None:
-        out["M"] = problem.exact_m(phi)
-    return out
 
 
 def solve_problem(problem: BenchmarkProblem, formulation: ElementFormulation,

@@ -21,7 +21,6 @@ the formulation's own strain representation) and of the bending strain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,11 +30,11 @@ from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtbtrs
 
 from . import banded
-from .quadrature import gauss_rule
+from .quadrature import _gauss_points, gauss_rule
 from .rod import CrossSection, FrameBatch, frames_at
 from .splines import NurbsCurve
 
-__all__ = ["ElementFormulation", "ElementMatrices", "PatchOperators"]
+__all__ = ["ElementFormulation", "PatchOperators"]
 
 _GAUSS2_NODE = 1.0 / math.sqrt(3.0)
 
@@ -53,14 +52,6 @@ class ElementFormulation(Enum):
     def default_quad_points(self, degree: int = 2) -> int:
         """Default rule: p+1 points, except 2 for reduced integration."""
         return 2 if self is ElementFormulation.NURBS_REDUCED else degree + 1
-
-
-@dataclass
-class ElementMatrices:
-    """Element stiffness block and global dof indices."""
-
-    k: np.ndarray
-    dof_map: np.ndarray
 
 
 def _membrane_rows(fb: FrameBatch, out: np.ndarray | None = None) -> np.ndarray:
@@ -95,7 +86,10 @@ class PatchOperators:
 
     All quadrature-point data is evaluated in one vectorized pass; the only
     extra work of CAS elements over plain NURBS elements is the basis/tangent
-    evaluation at the element boundaries.
+    evaluation at the element boundaries. `blocks` holds the read-only element
+    stiffness blocks, shape (n_el, 2(p+1), 2(p+1)): element e sits on dofs
+    2e ... 2e + 2p + 1. The rule needs at least 2 points: with one, every
+    element block is rank-deficient.
     """
 
     def __init__(self, curve: NurbsCurve, section: CrossSection,
@@ -109,15 +103,16 @@ class PatchOperators:
         self.n_quad = (formulation.default_quad_points(curve.degree)
                        if quad_points is None else quad_points)
         self.quad = gauss_rule(self.n_quad)
+        if self.quad.n_points < 2:
+            raise ValueError(f"element rules need at least 2 points, got {self.n_quad}")
 
         p = curve.degree
         n_el = curve.n_elements
         nq = self.quad.n_points
         bp = np.asarray(curve.knot_vector.breakpoints, dtype=float)
         self._bp = bp
-        halves = 0.5 * (bp[1:] - bp[:-1])
-        mids = 0.5 * (bp[1:] + bp[:-1])
-        self.xi_q = mids[:, None] + halves[:, None] * self.quad.points  # (n_el, nq)
+        xi_q, halves = _gauss_points(bp[:-1], bp[1:], self.quad.points)
+        self.xi_q = xi_q.reshape(n_el, nq)
 
         # One frame batch: the quadrature points, then the strain points of
         # the pair formulations (element end knots for CAS, 2-point Gauss
@@ -126,12 +121,11 @@ class PatchOperators:
         if form is ElementFormulation.CAS:
             extra = bp
         elif form is ElementFormulation.LOCAL_ANS:
-            extra = (mids[:, None] + halves[:, None]
-                     * np.array([-_GAUSS2_NODE, _GAUSS2_NODE])).reshape(-1)
+            extra = _gauss_points(bp[:-1], bp[1:], np.array([-_GAUSS2_NODE, _GAUSS2_NODE]))[0]
         else:
             extra = bp[:0]
         m = n_el * nq
-        fb = frames_at(curve, np.concatenate([self.xi_q.reshape(-1), extra]))
+        fb = frames_at(curve, np.concatenate([xi_q, extra]))
         fq = fb[:m]
         self.values = np.asfortranarray(fq.values).reshape(n_el, nq, p + 1)  # fb is freed below
         pair_rows = form in (ElementFormulation.CAS, ElementFormulation.LOCAL_ANS)
@@ -161,7 +155,8 @@ class PatchOperators:
             km = self._pair_stiffness(mass, rows)
         k = kb if km is None else np.add(km, kb, out=km)
         # the symmetric part, formed in kb's buffer, drops contraction-order roundoff
-        self._blocks = np.multiply(np.add(k, np.swapaxes(k, 1, 2), out=kb), 0.5, out=kb)
+        self.blocks = np.multiply(np.add(k, np.swapaxes(k, 1, 2), out=kb), 0.5, out=kb)
+        self.blocks.setflags(write=False)  # stiffness_band reads them
 
     # -- precomputation helpers ----------------------------------------------
 
@@ -212,12 +207,6 @@ class PatchOperators:
 
     # -- element blocks -------------------------------------------------------
 
-    def dof_map(self, element: int) -> np.ndarray:
-        return np.arange(2 * element, 2 * (element + self.curve.degree + 1))
-
-    def element_matrices(self, element: int) -> ElementMatrices:
-        return ElementMatrices(k=self._blocks[element].copy(), dof_map=self.dof_map(element))
-
     def stiffness_band(self) -> np.ndarray:
         """Patch stiffness in upper-band storage (see `banded`).
 
@@ -235,7 +224,7 @@ class PatchOperators:
         m = 2 * (self.curve.degree + 1)
         hb = n_dof - 1 if dense else m - 1
         ab = np.zeros((hb + 1, n_dof))
-        blocks = self._blocks
+        blocks = self.blocks
         for b in reversed(range(m)):
             for a in range(b + 1):
                 ab[hb + a - b, b:b + 2 * len(blocks):2] += blocks[:, a, b]
@@ -277,11 +266,6 @@ class PatchOperators:
         y, info = dtbtrs(cholesky_banded(ab), g, trans="T")
         assert info == 0, f"dtbtrs info {info}"
         return dsyrk(self.section.ea, y, trans=1, lower=1)
-
-    def patch_membrane_matrix(self) -> np.ndarray:
-        """Dense patch membrane stiffness EA * G^T M^-1 G (global B-bar)."""
-        k = self._membrane_lower()
-        return k + np.tril(k, -1).T
 
     # -- post-solve field recovery ---------------------------------------------
 

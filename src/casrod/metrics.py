@@ -16,7 +16,7 @@ from .assembly import RodSolution
 from .benchmarks import BenchmarkProblem
 from .errors import InsufficientDataError, MissingExactFieldError
 from .rod import frames_at
-from .quadrature import _legendre
+from .quadrature import _gauss_points, _legendre
 from .splines import combine, nurbs_basis_many
 
 __all__ = [
@@ -65,12 +65,6 @@ def displacement_at(solution: RodSolution, xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     bb = nurbs_basis_many(solution.curve, xi.reshape(-1), max_deriv=0)
     return combine(solution.u, bb.first_active, bb.values).reshape(xi.shape + (2,))
-
-
-def _gauss_points(a: np.ndarray, b: np.ndarray, nodes: np.ndarray):
-    """The rule `nodes` mapped onto each [a_i, b_i], flat, and the half-widths."""
-    half = 0.5 * (b - a)
-    return (0.5 * (a + b)[:, None] + half[:, None] * nodes).reshape(-1), half
 
 
 def point_errors(problem: BenchmarkProblem, solution: RodSolution) -> dict[str, float]:

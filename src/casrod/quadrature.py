@@ -37,3 +37,9 @@ def gauss_rule(n_pts: int) -> QuadratureRule:
     if not 1 <= n_pts <= 10:
         raise ValueError(f"n_pts must be between 1 and 10, got {n_pts}")
     return _legendre(n_pts)
+
+
+def _gauss_points(a: np.ndarray, b: np.ndarray, nodes: np.ndarray):
+    """The rule `nodes` mapped onto each [a_i, b_i], flat, and the half-widths."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b)[:, None] + half[:, None] * nodes).reshape(-1), half

@@ -21,7 +21,6 @@ __all__ = [
     "NurbsCurve",
     "BasisBatch",
     "make_open_uniform_knot_vector",
-    "bspline_basis_many",
     "nurbs_basis_many",
     "combine",
     "evaluate_geometry",
@@ -198,12 +197,6 @@ def _basis_block(kv: KnotVector, xis, max_deriv: int,
             block[2] -= block[0] * wsum[2]
             block[2] /= wsum[0]
     return k - p, block
-
-
-def bspline_basis_many(kv: KnotVector, xis, max_deriv: int = 2) -> BasisBatch:
-    """Nonzero B-spline basis values and parametric derivatives at each xi."""
-    first, block = _basis_block(kv, xis, max_deriv)
-    return BasisBatch(first, *np.swapaxes(block, 1, 2))
 
 
 def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:

@@ -48,9 +48,10 @@ def straight_rod_4():
 
 @pytest.fixture
 def basis_calls(monkeypatch):
-    """List that grows by one per basis evaluation: every one (nurbs_basis_many,
-    frames_at, evaluate_geometry, displacement_at) fills one block in
-    splines._basis_block."""
+    """List that grows by one per basis evaluation. `splines._basis_block` is
+    the one basis kernel: nurbs_basis_many, frames_at, evaluate_geometry and
+    displacement_at each fill one block through it, and so does a test that
+    calls it as `casrod.splines._basis_block` for the plain B-spline basis."""
     calls = []
     original = casrod.splines._basis_block
 

@@ -10,7 +10,7 @@
 - Greville abscissae, for exactly representable linear fields.
 - The Cox-de Boor triangle with the degree-reduction derivative formula, one
   basis function per column and 0/0 read as 0: the oracle for the Piegl-Tiller
-  kernel of `splines.bspline_basis_many`.
+  kernel of `splines._basis_block`.
 - The same Piegl-Tiller triangle, quotient rule and frame geometry with one
   fresh array per step (`unstacked_bspline_basis`, `unstacked_nurbs_basis`,
   `unstacked_frames`): the byte-for-byte oracle for the stacked block that

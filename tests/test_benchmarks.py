@@ -12,11 +12,10 @@ from casrod import (
     build_ring_quarter,
     ellipse_reference,
     evaluate_geometry,
-    exact_fields,
     solve_problem,
 )
 from casrod.benchmarks import _arch_exact, _refine_to
-from casrod.errors import MissingExactFieldError, OutOfDomainError
+from casrod.errors import MissingExactFieldError
 from casrod.metrics import l2_errors
 from casrod.rod import frames_at
 
@@ -46,8 +45,7 @@ class TestRingProblem:
 
     def test_exact_membrane_force_vanishes_at_load_point(self):
         problem = build_ring_quarter(4, 1e4)
-        fields = exact_fields(problem, math.pi / 2)
-        assert fields["N"] == pytest.approx(0.0, abs=1e-15)
+        assert problem.exact_n(math.pi / 2) == pytest.approx(0.0, abs=1e-15)
 
     def test_geometry_is_exact_circle(self):
         problem = build_ring_quarter(16, 1e6)
@@ -152,8 +150,8 @@ class TestArchProblem:
 
     def test_exact_fields_available(self):
         problem = build_arch_half(4, 0.1)
-        fields = exact_fields(problem, 0.3)
-        assert set(fields) == {"u", "N", "M"}
+        assert problem.exact_u(0.3).shape == (2,)
+        assert all(np.isfinite([problem.exact_n(0.3), problem.exact_m(0.3)]))
 
     def test_invalid_thickness(self):
         with pytest.raises(ValueError, match="thickness"):
@@ -175,8 +173,9 @@ class TestEllipseProblem:
 
     def test_no_exact_fields(self):
         problem = build_ellipse_quarter(4, 0.04)
+        assert (problem.exact_u, problem.exact_n, problem.exact_m) == (None, None, None)
         with pytest.raises(MissingExactFieldError):
-            exact_fields(problem, 0.3)
+            l2_errors(problem, solve_problem(problem, ElementFormulation.CAS))
 
     def test_reference_values(self):
         ref = ellipse_reference(0.04)
@@ -237,16 +236,10 @@ class TestSlendernessCases:
 
 
 class TestExactFields:
-    def test_out_of_domain(self):
-        problem = build_ring_quarter(4, 1e4)
-        with pytest.raises(OutOfDomainError):
-            exact_fields(problem, 2.0)
-
     def test_ring_has_no_exact_displacement_field(self):
         problem = build_ring_quarter(4, 1e4)
-        fields = exact_fields(problem, 0.5)
-        assert "u" not in fields
-        assert set(fields) == {"N", "M"}
+        assert problem.exact_u is None
+        assert np.isfinite(problem.exact_n(0.5)) and np.isfinite(problem.exact_m(0.5))
 
 
 class TestProblemSetup:

@@ -31,20 +31,20 @@ class TestStandardElement:
         # modes; removing the 4 dofs of the first two control points leaves a
         # nonsingular block (eigen-decomposition oracle)
         rod = straight_rod(1)
-        em = PatchOperators(rod, UNIT_SECTION, ElementFormulation.NURBS_FULL,
-                            quad_points=3).element_matrices(0)
-        eigvals = np.linalg.eigvalsh(em.k)
+        k = PatchOperators(rod, UNIT_SECTION, ElementFormulation.NURBS_FULL,
+                           quad_points=3).blocks[0]
+        eigvals = np.linalg.eigvalsh(k)
         tol = 1e-9 * eigvals.max()
         assert np.sum(np.abs(eigvals) < tol) == 3
-        constrained = np.delete(np.delete(em.k, range(4), axis=0), range(4), axis=1)
+        constrained = np.delete(np.delete(k, range(4), axis=0), range(4), axis=1)
         assert np.sum(np.abs(np.linalg.eigvalsh(constrained)) < tol) == 0
 
     def test_translation_in_kernel(self, quarter_circle):
-        em = PatchOperators(quarter_circle, CrossSection(1e4, 1.0),
-                            ElementFormulation.NURBS_FULL, quad_points=3).element_matrices(0)
+        k = PatchOperators(quarter_circle, CrossSection(1e4, 1.0),
+                           ElementFormulation.NURBS_FULL, quad_points=3).blocks[0]
         for mode in ([1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]):
-            residual = em.k @ np.asarray(mode, dtype=float)
-            assert np.abs(residual).max() < 1e-9 * np.abs(em.k).max()
+            residual = k @ np.asarray(mode, dtype=float)
+            assert np.abs(residual).max() < 1e-9 * np.abs(k).max()
 
     def test_ring_two_elements_locks(self):
         # coarse standard-NURBS discretization of the ring responds far below
@@ -62,7 +62,7 @@ class TestElementInvariants:
         problem = build_arch_half(5, 0.01)
         ops = PatchOperators(problem.curve, problem.section, form)
         for e in range(problem.curve.n_elements):
-            k = ops.element_matrices(e).k
+            k = ops.blocks[e]
             np.testing.assert_allclose(k, k.T, rtol=0, atol=1e-10 * np.abs(k).max())
             eigvals = np.linalg.eigvalsh(k)
             assert eigvals.min() > -1e-9 * eigvals.max()
@@ -73,7 +73,7 @@ class TestElementInvariants:
         ops = PatchOperators(problem.curve, problem.section, form)
         modes = np.array([[1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1]], dtype=float)
         for e in range(4):
-            k = ops.element_matrices(e).k
+            k = ops.blocks[e]
             for mode in modes:
                 assert np.abs(k @ mode).max() < 1e-9 * np.abs(k).max()
 
@@ -111,8 +111,8 @@ class TestCas:
         cas = PatchOperators(rod, section, ElementFormulation.CAS, quad_points=3)
         std = PatchOperators(rod, section, ElementFormulation.NURBS_FULL, quad_points=3)
         for e in range(3):
-            k_cas = cas.element_matrices(e).k
-            k_std = std.element_matrices(e).k
+            k_cas = cas.blocks[e]
+            k_std = std.blocks[e]
             ue = u[2 * e:2 * e + 6]
             assert ue @ k_cas @ ue == pytest.approx(ue @ k_std @ ue, rel=1e-10)
 
@@ -226,16 +226,17 @@ class TestGlobalBbar:
         k_patch = banded.to_dense(PatchOperators(
             quarter_circle, section, ElementFormulation.GLOBAL_BBAR, quad_points=3).stiffness_band())
         k_local = PatchOperators(quarter_circle, section, ElementFormulation.LOCAL_BBAR,
-                                 quad_points=3).element_matrices(0).k
+                                 quad_points=3).blocks[0]
         np.testing.assert_allclose(k_patch, k_local, rtol=0,
                                    atol=1e-12 * np.abs(k_local).max())
 
     def test_dense_membrane_coupling(self):
-        # the projected membrane stiffness couples distant control points
+        # the projected membrane stiffness couples distant control points,
+        # which share no element block
         problem = build_ring_quarter(8, 1e6)
         ops = PatchOperators(problem.curve, problem.section,
                              ElementFormulation.GLOBAL_BBAR)
-        k = ops.patch_membrane_matrix()
+        k = banded.to_dense(ops.stiffness_band())
         assert abs(k[0, -1]) > 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
@@ -386,9 +387,13 @@ class TestFormulationDefaults:
             assert form.default_quad_points(2) == expected
 
     def test_zero_quad_points_rejected(self, quarter_circle):
-        # 0 is an invalid rule, not a request for the default one
+        # 0 is an invalid rule, not a request for the default one; a 1-point
+        # rule leaves every element block rank-deficient
         from casrod import LoadSpec, assemble
 
+        for form in ALL_FORMS:
+            with pytest.raises(ValueError, match="at least 2 points"):
+                PatchOperators(quarter_circle, UNIT_SECTION, form, 1)
         with pytest.raises(ValueError, match="n_pts"):
             PatchOperators(quarter_circle, UNIT_SECTION, ElementFormulation.CAS, 0)
         with pytest.raises(ValueError, match="n_pts"):

@@ -11,7 +11,7 @@ from casrod import (ElementFormulation, KnotVector, NurbsCurve, build_arch_half,
 from casrod.errors import OutOfDomainError
 from casrod.metrics import displacement_at
 from casrod.rod import frames_at
-from casrod.splines import bspline_basis_many, nurbs_basis_many
+from casrod.splines import _basis_block, nurbs_basis_many
 
 from conftest import CONIC_W
 from oracles import (arc_length_at, arc_lengths_at, bspline_basis_triangle,
@@ -69,27 +69,27 @@ class TestKnotVector:
     def test_find_span_right_end(self):
         # xi = 1 belongs to the last nonzero span
         kv = make_open_uniform_knot_vector(2, 4)
-        first = bspline_basis_many(kv, [1.0, 0.99]).first_active
+        first = _basis_block(kv, [1.0, 0.99], 0)[0]
         assert first[0] == first[1] == kv.n_basis - 3
 
 
 class TestBsplineBasis:
     def test_bernstein_midpoint(self):
         kv = make_open_uniform_knot_vector(2, 1)
-        be = bspline_basis_many(kv, [0.5])
-        np.testing.assert_allclose(be.values[0], [0.25, 0.5, 0.25], atol=1e-15)
+        block = _basis_block(kv, [0.5], 0)[1]
+        np.testing.assert_allclose(block[0, :, 0], [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_bernstein_endpoint_derivatives(self):
         kv = make_open_uniform_knot_vector(2, 1)
-        be = bspline_basis_many(kv, [0.0])
-        np.testing.assert_allclose(be.values[0], [1.0, 0.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(be.d1[0], [-2.0, 2.0, 0.0], atol=1e-15)
+        block = _basis_block(kv, [0.0], 1)[1]
+        np.testing.assert_allclose(block[0, :, 0], [1.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(block[1, :, 0], [-2.0, 2.0, 0.0], atol=1e-15)
 
     def test_against_naive_recursion(self):
         kv = KnotVector(2, [0, 0, 0, 0.5, 1, 1, 1])
         xi = 0.25
-        bb = bspline_basis_many(kv, [xi])
-        first, values, d1 = bb.first_active[0], bb.values[0], bb.d1[0]
+        first, block = _basis_block(kv, [xi], 1)
+        first, values, d1 = first[0], block[0, :, 0], block[1, :, 0]
         expected = [naive_cox_de_boor(kv.knots, 2, i, xi) for i in range(first, first + 3)]
         np.testing.assert_allclose(values, expected, atol=1e-14)
         assert abs(values.sum() - 1.0) < 1e-14
@@ -99,8 +99,8 @@ class TestBsplineBasis:
         kv = make_open_uniform_knot_vector(3, 5)
         rng = np.random.default_rng(7)
         xis = rng.uniform(0, 0.999, 25)
-        bb = bspline_basis_many(kv, xis)
-        for xi, first, values in zip(xis, bb.first_active, bb.values):
+        firsts, block = _basis_block(kv, xis, 0)
+        for xi, first, values in zip(xis, firsts, block[0].T):
             expected = [naive_cox_de_boor(kv.knots, 3, i, xi) for i in range(first, first + 4)]
             np.testing.assert_allclose(values, expected, atol=1e-13)
 
@@ -116,24 +116,24 @@ class TestBsplineBasis:
             kv = KnotVector(p, np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]))
         xis = np.concatenate([rng.uniform(0.0, 1.0, 200), kv.breakpoints, [0.0, 1.0]])
         for max_deriv in (0, 1, 2):
-            got = bspline_basis_many(kv, xis, max_deriv)
+            first, block = _basis_block(kv, xis, max_deriv)
             want = bspline_basis_triangle(kv, xis, max_deriv)
-            np.testing.assert_array_equal(got.first_active, want.first_active)
-            for name in ("values", "d1", "d2")[:max_deriv + 1]:
-                g, w = getattr(got, name), getattr(want, name)
+            np.testing.assert_array_equal(first, want.first_active)
+            for d, name in enumerate(("values", "d1", "d2")[:max_deriv + 1]):
+                g, w = block[d].T, getattr(want, name)
                 scale = np.abs(w).max(axis=1, keepdims=True)
                 assert np.all(np.abs(g - w) <= 1e-14 * scale), name
-            assert all(getattr(got, name) is None for name in ("d1", "d2")[max_deriv:])
+            assert len(block) == max_deriv + 1  # no derivative rows beyond those asked for
         if p == 1:
-            assert not np.any(got.d2)
+            assert not np.any(block[2])
 
     def test_derivatives_match_finite_differences(self):
         kv = make_open_uniform_knot_vector(2, 4)
         h = 1e-6
         xis = np.array([0.1, 0.33, 0.62, 0.9])
-        plus = bspline_basis_many(kv, xis + h).values
-        minus = bspline_basis_many(kv, xis - h).values
-        d1 = bspline_basis_many(kv, xis).d1
+        plus = _basis_block(kv, xis + h, 0)[1][0].T
+        minus = _basis_block(kv, xis - h, 0)[1][0].T
+        d1 = _basis_block(kv, xis, 1)[1][1].T
         for i in range(len(xis)):
             np.testing.assert_allclose(d1[i], (plus[i] - minus[i]) / (2 * h),
                                        rtol=1e-6, atol=1e-6)
@@ -142,9 +142,9 @@ class TestBsplineBasis:
         kv = make_open_uniform_knot_vector(2, 4)
         h = 1e-6
         xis = np.array([0.1, 0.33, 0.62, 0.9])
-        plus = bspline_basis_many(kv, xis + h).d1
-        minus = bspline_basis_many(kv, xis - h).d1
-        d2 = bspline_basis_many(kv, xis).d2
+        plus = _basis_block(kv, xis + h, 1)[1][1].T
+        minus = _basis_block(kv, xis - h, 1)[1][1].T
+        d2 = _basis_block(kv, xis, 2)[1][2].T
         for i in range(len(xis)):
             np.testing.assert_allclose(d2[i], (plus[i] - minus[i]) / (2 * h),
                                        rtol=1e-5, atol=1e-5)
@@ -152,13 +152,13 @@ class TestBsplineBasis:
     def test_out_of_domain(self):
         kv = make_open_uniform_knot_vector(2, 2)
         with pytest.raises(OutOfDomainError):
-            bspline_basis_many(kv, [1.2])
+            _basis_block(kv, [1.2], 2)
         with pytest.raises(OutOfDomainError):
-            bspline_basis_many(kv, [-0.1])
+            _basis_block(kv, [-0.1], 2)
 
     @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf, 1.2, -0.1])
     @pytest.mark.parametrize("evaluate", [
-        lambda curve, xi: bspline_basis_many(curve.knot_vector, [xi]),
+        lambda curve, xi: _basis_block(curve.knot_vector, [xi], 2),
         lambda curve, xi: nurbs_basis_many(curve, [0.5, xi]),
         lambda curve, xi: frames_at(curve, [xi]),
         lambda curve, xi: arc_lengths_at(curve, [0.5, xi]),
@@ -172,13 +172,12 @@ class TestBsplineBasis:
         kv = make_open_uniform_knot_vector(2, 6)
         rng = np.random.default_rng(3)
         xis = np.concatenate([rng.uniform(0, 1, 40), [0.0, 1.0], kv.breakpoints[1:-1]])
-        batch = bspline_basis_many(kv, xis)
+        first, batch = _basis_block(kv, xis, 2)
         for i, xi in enumerate(xis):
-            one = bspline_basis_many(kv, [xi])
-            assert batch.first_active[i] == one.first_active[0]
-            np.testing.assert_array_equal(batch.values[i], one.values[0])
-            np.testing.assert_array_equal(batch.d1[i], one.d1[0])
-            np.testing.assert_array_equal(batch.d2[i], one.d2[0])
+            first_one, one = _basis_block(kv, [xi], 2)
+            assert first[i] == first_one[0]
+            for d in range(3):  # values, d1, d2
+                np.testing.assert_array_equal(batch[d, :, i], one[d, :, 0])
 
 
 class TestNurbsBasis:
@@ -187,11 +186,11 @@ class TestNurbsBasis:
                            np.full(3, 2.5))
         xis = [0.0, 0.3, 0.75, 1.0]
         rational = nurbs_basis_many(curve, xis)
-        poly = bspline_basis_many(curve.knot_vector, xis)
+        poly = _basis_block(curve.knot_vector, xis, 2)[1]
         for i in range(len(xis)):
-            np.testing.assert_allclose(rational.values[i], poly.values[i], atol=1e-15)
-            np.testing.assert_allclose(rational.d1[i], poly.d1[i], atol=1e-13)
-            np.testing.assert_allclose(rational.d2[i], poly.d2[i], atol=1e-12)
+            np.testing.assert_allclose(rational.values[i], poly[0, :, i], atol=1e-15)
+            np.testing.assert_allclose(rational.d1[i], poly[1, :, i], atol=1e-13)
+            np.testing.assert_allclose(rational.d2[i], poly[2, :, i], atol=1e-12)
 
     def test_quarter_circle_midpoint_values(self, quarter_circle):
         # hand evaluation of the rational quotient at xi = 0.5
@@ -303,8 +302,8 @@ class TestGreville:
         kv = make_open_uniform_knot_vector(2, 5)
         greville = greville_abscissae(kv)
         xis = np.linspace(0, 1, 20)
-        bb = bspline_basis_many(kv, xis)
-        for xi, first, values in zip(xis, bb.first_active, bb.values):
+        firsts, block = _basis_block(kv, xis, 0)
+        for xi, first, values in zip(xis, firsts, block[0].T):
             active = greville[first:first + 3]
             assert abs(values @ active - xi) < 1e-13
 
@@ -397,9 +396,12 @@ class TestStackedBlockOracle:
             singles = [xis[i:i + 1] for i in [*range(300, len(xis))[:40], -2, -1, 0, 1, 2]]
             for batch in [xis, *singles]:
                 for max_deriv in (0, 1, 2):
-                    self._assert_same_bytes(
-                        bspline_basis_many(curve.knot_vector, batch, max_deriv),
-                        unstacked_bspline_basis(curve.knot_vector, batch, max_deriv))
+                    first, block = _basis_block(curve.knot_vector, batch, max_deriv)
+                    want = unstacked_bspline_basis(curve.knot_vector, batch, max_deriv)
+                    rows = np.stack([want.values, want.d1, want.d2][:max_deriv + 1])
+                    assert first.tobytes() == want.first_active.tobytes()
+                    got = np.swapaxes(block, 1, 2)  # one (m, p+1) array per derivative
+                    assert got.shape == rows.shape and got.tobytes() == rows.tobytes()
                     self._assert_same_bytes(nurbs_basis_many(curve, batch, max_deriv),
                                             unstacked_nurbs_basis(curve, batch, max_deriv))
                 frames = frames_at(curve, batch)
