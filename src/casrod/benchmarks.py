@@ -131,7 +131,6 @@ class BenchmarkProblem:
     loads: LoadSpec
     constraints: list
     angle_map: Callable[[np.ndarray], np.ndarray]  # position x -> phi
-    angle_domain: tuple[float, float]
     slenderness: float                              # reporting value (EA or t)
     exact_u: Callable[[np.ndarray], np.ndarray] | None = None  # phi -> (ux, uy)
     exact_n: Callable[[np.ndarray], np.ndarray] | None = None
@@ -203,7 +202,6 @@ def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
         loads=loads,
         constraints=constraints,
         angle_map=angle_map,
-        angle_domain=(0.0, math.pi / 2),
         slenderness=ea,
         exact_n=exact_n,
         exact_m=exact_m,
@@ -294,7 +292,6 @@ def build_arch_half(n_elements: int, t: float) -> BenchmarkProblem:
         loads=loads,
         constraints=constraints,
         angle_map=angle_map,
-        angle_domain=(0.0, math.pi / 2),
         slenderness=t,
         exact_u=exact_u,
         exact_n=exact_n,
@@ -337,7 +334,6 @@ def build_ellipse_quarter(n_elements: int, t: float,
         loads=loads,
         constraints=constraints,
         angle_map=angle_map,
-        angle_domain=(0.0, math.pi / 2),
         slenderness=t,
         point_checks=point_checks,
     )
