@@ -1,7 +1,8 @@
 """Global assembly, loads, constraint application, and symmetric solve.
 
 The stiffness is held in one storage from assembly to solve: the LAPACK
-upper band of `banded`. Element blocks sit on contiguous dof ranges (dof
+upper band of `banded`, column-major, so LAPACK and BLAS read it without a
+copy. Element blocks sit on contiguous dof ranges (dof
 2B+i is the i-th Cartesian component of control variable B), so
 element-local formulations give half-bandwidth 2(p+1)-1 = 5; the dense
 global B-bar membrane matrix fills the band. Homogeneous constraints are
@@ -169,15 +170,18 @@ def assemble(curve: NurbsCurve, section: CrossSection,
 
     if loads.distributed is not None:
         n_el, nq = ops.xi_q.shape
-        net = curve.control_points[np.arange(n_el)[:, None] + np.arange(curve.degree + 1)]
-        x_q = np.einsum("eqj,ejc->eqc", ops.values, net)
+        points, values = curve.control_points, ops.values
+        x_q = values[:, :, 0, None] * points[:n_el, None]
+        for j in range(1, curve.degree + 1):  # ascending j, as in the basis sum
+            x_q += values[:, :, j, None] * points[j:j + n_el, None]
         load = np.asarray(loads.distributed(x_q), dtype=float)
         if load.shape not in ((2,), x_q.shape):
             raise ValueError(f"distributed load has shape {load.shape}, not (2,) or {x_q.shape}")
         load = np.broadcast_to(load, x_q.shape)
+        weighted = ops.wds[:, :, None] * values
         fe = np.zeros((n_el, curve.degree + 1, 2))
         for q in range(nq):  # ascending q, as in the element integral
-            fe += (ops.wds[:, q, None] * ops.values[:, q])[:, :, None] * load[:, q, None, :]
+            fe += weighted[:, q, :, None] * load[:, q, None, :]
         f_ctrl = f.reshape(-1, 2)
         for j in reversed(range(curve.degree + 1)):  # ascending element order per control
             f_ctrl[j:j + n_el] += fe[:, j]
@@ -258,7 +262,8 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
             raise TypeError(f"unsupported constraint type: {type(c).__name__}")
 
     hb = min(system.half_bandwidth + sum(abs(m - s) for s, m in slave_pairs), n - 1)
-    ab = np.zeros((hb + 1, n))
+    padded = np.zeros((hb + 2, n), order="F")  # the working band below one zero row
+    ab = padded[1:]
     ab[hb - system.half_bandwidth:] = system.ab
     for slave, master in slave_pairs:
         _fold(ab, slave, master)
@@ -266,10 +271,10 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
         removed[slave] = True
 
     free = (~removed).nonzero()[0]
-    ab = _drop(ab, free)
-    nonzero = ab.any(axis=1).nonzero()[0]  # trim to the nonzero half-width
-    return ConstrainedSystem(ab=ab[nonzero[0] if len(nonzero) else hb:], f=f[free],
-                             free_dofs=free, slave_pairs=slave_pairs, n_full=n)
+    ab = _drop(padded, free)
+    top = next((r for r in range(len(ab) - 1) if ab[r].any()), len(ab) - 1)
+    return ConstrainedSystem(ab=np.asfortranarray(ab[top:]), f=f[free], free_dofs=free,
+                             slave_pairs=slave_pairs, n_full=n)
 
 
 def _chain_end(masters: dict[int, int], dof: int) -> int:
@@ -284,8 +289,9 @@ def _chain_end(masters: dict[int, int], dof: int) -> int:
 def _row_views(ab: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Views of K[i - hb:i, i] (band column i) and K[i, i:i + hb + 1]."""
     hb, n = ab.shape[0] - 1, ab.shape[1]
-    right = ab.reshape(-1)[hb * n + i::-(n - 1)]  # ab[hb - d, i + d]
-    return ab[:hb, i], right[:min(hb, n - 1 - i) + 1]
+    s0, s1 = ab.strides
+    right = as_strided(ab[hb, i:], (min(hb, n - 1 - i) + 1,), (s1 - s0,))  # ab[hb - d, i + d]
+    return ab[:hb, i], right
 
 
 def _fold(ab: np.ndarray, slave: int, master: int) -> None:
@@ -308,21 +314,27 @@ def _fold(ab: np.ndarray, slave: int, master: int) -> None:
     right[:] = row[w:w + len(right)]
 
 
-def _drop(ab: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _drop(padded: np.ndarray, free: np.ndarray) -> np.ndarray:
     """Band of K restricted to the rows and columns of the `free` dofs.
 
-    Reduced entry (r, j) is K[free[j - hb + r], free[j]], which sits in band
-    row hb - free[j] + free[j - hb + r] of column free[j]. The row index
-    depends on j only through j + r, so the flat source indices are a strided
-    view of one vector minus a column term: one gather, whatever the removed
-    dofs. A row below zero (a pair farther apart than hb, or above the
-    reduced matrix, marked -n) gives a negative index, which `take` clips to
-    ab[0, 0]: outside the matrix, hence zero, whenever such a pair exists.
+    `padded` is a column-major band of half-width hb below one zero row. The
+    result is column-major, of half-width w = min(hb, len(free) - 1): pairs
+    farther apart lie outside the reduced matrix. Reduced entry (r, j) is
+    K[free[j - w + r], free[j]], in band row hb - free[j] + free[j - w + r] of
+    column free[j]. The source dof depends on j only through j + r, so the
+    flat source indices are a strided view of one vector plus a column term:
+    one gather, whatever the removed dofs, made transposed, (j, r), which is
+    the column-major order of the result. A row below zero (a pair farther
+    apart than hb, or above the reduced matrix, marked -n) is clamped to the
+    zero row.
     """
-    hb, n = ab.shape[0] - 1, ab.shape[1]
-    ext = np.concatenate([np.full(hb, -n), free]) * n
-    idx = as_strided(ext, (hb + 1, len(free)), (ext.strides[0],) * 2) - (n * (free - hb) - free)
-    return ab.take(idx, mode="clip")
+    hb, n = padded.shape[0] - 2, padded.shape[1]
+    w = max(0, min(hb, len(free) - 1))
+    ext = np.concatenate([np.full(w, -n), free])
+    src = as_strided(ext, (len(free), w + 1), (ext.strides[0],) * 2)  # [j, r]: source dof
+    idx = np.maximum(src, (free - hb - 1)[:, None])
+    idx += ((hb + 1) * free + hb + 1)[:, None]  # (hb + 2) free[j] + 1 + its band row
+    return padded.T.reshape(-1).take(idx, mode="clip").T
 
 
 def solve(constrained: ConstrainedSystem) -> ControlDisplacements:

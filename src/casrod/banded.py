@@ -2,8 +2,11 @@
 
 A symmetric n x n matrix K of half-bandwidth hb is held as an (hb+1, n)
 array ab with ab[hb + i - j, j] = K[i, j] for max(0, j - hb) <= i <= j. The
-entries ab[hb - r, :r] lie outside the matrix and stay zero. Only
-`to_dense` and `from_dense` touch an n x n array; the rest costs O(n * hb).
+entries ab[hb - r, :r] lie outside the matrix and stay zero. casrod builds
+ab column-major (LAPACK's own layout: column j holds K[j - hb..j, j]
+contiguously), so LAPACK and BLAS take it without a transposing copy; these
+functions also accept a row-major band. Only `to_dense` touches an n x n
+array; the rest costs O(n * hb).
 """
 
 from __future__ import annotations
@@ -11,16 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.blas import dsbmv
 
-__all__ = ["from_dense", "to_dense", "matvec", "norm1"]
-
-
-def from_dense(k: np.ndarray, hb: int) -> np.ndarray:
-    """Upper band of half-width hb of the symmetric matrix k."""
-    n = len(k)
-    ab = np.zeros((hb + 1, n))
-    for r in range(hb + 1):
-        ab[hb - r, r:] = k.reshape(-1)[r::n + 1][:n - r]  # K[i, i + r]
-    return ab
+__all__ = ["to_dense", "matvec", "norm1"]
 
 
 def to_dense(ab: np.ndarray) -> np.ndarray:

@@ -25,11 +25,10 @@ from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import cholesky_banded, solveh_banded
-from scipy.linalg.blas import dsyrk
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import solveh_banded
+from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dpttrf
 
-from . import banded
 from .quadrature import _gauss_points, gauss_rule
 from .rod import CrossSection, FrameBatch, frames_at
 from .splines import NurbsCurve
@@ -156,7 +155,10 @@ class PatchOperators:
         k = kb if km is None else np.add(km, kb, out=km)
         # the symmetric part, formed in kb's buffer, drops contraction-order roundoff
         self.blocks = np.multiply(np.add(k, np.swapaxes(k, 1, 2), out=kb), 0.5, out=kb)
-        self.blocks.setflags(write=False)  # stiffness_band reads them
+        # read-only: the stiffness, the load and the global B-bar projection read them
+        for a in (self.blocks, self.wds, self.mrows, self.brows, self.values, self.xi_q):
+            if a is not None:
+                a.setflags(write=False)
 
     # -- precomputation helpers ----------------------------------------------
 
@@ -208,7 +210,7 @@ class PatchOperators:
     # -- element blocks -------------------------------------------------------
 
     def stiffness_band(self) -> np.ndarray:
-        """Patch stiffness in upper-band storage (see `banded`).
+        """Patch stiffness in column-major upper-band storage (see `banded`).
 
         Element e's block sits on dofs 2e ... 2e + 2(p+1) - 1, so element-local
         formulations give half-bandwidth 2(p+1)-1. The blocks are added with
@@ -216,56 +218,79 @@ class PatchOperators:
         where blocks overlap, element e's entry is added before element
         e + 1's, so each band entry sums its elements in ascending order, as a
         dense scatter does. The global B-bar membrane matrix couples every dof
-        pair and fills the band (half-width n-1); it is added after the
-        element blocks, as a dense sum would.
+        pair and fills the band (half-width n-1); the summed element blocks
+        are added to it, as a dense sum of the two would.
         """
         n_dof = 2 * self.curve.n_basis
-        dense = self.formulation is ElementFormulation.GLOBAL_BBAR
         m = 2 * (self.curve.degree + 1)
-        hb = n_dof - 1 if dense else m - 1
-        ab = np.zeros((hb + 1, n_dof))
+        ab = np.zeros((m, n_dof), order="F")
         blocks = self.blocks
         for b in reversed(range(m)):
             for a in range(b + 1):
-                ab[hb + a - b, b:b + 2 * len(blocks):2] += blocks[:, a, b]
-        if dense:
-            # the transpose of the Fortran-ordered lower triangle is the
-            # C-ordered upper one, the only part from_dense reads
-            ab += banded.from_dense(self._membrane_lower().T, hb)
-        return ab
+                ab[m - 1 + a - b, b:b + 2 * len(blocks):2] += blocks[:, a, b]
+        if self.formulation is not ElementFormulation.GLOBAL_BBAR:
+            return ab
+        full = self._membrane_band()
+        full[n_dof - m:] += ab
+        return full
 
     # -- patch-level membrane operator for the global B-bar method ------------
 
     def _global_projection(self):
-        """Hat-function mass (banded) and strain integral matrix for the patch."""
+        """Hat-function mass M (upper band, 2 x (n_el + 1)) and the strain
+        integral matrix G in window form: column 2B + c of G (component c of
+        control B) is nonzero only in rows B - p ... B + 1, and
+        gw[B, c, t] = G[B - p + t, 2B + c]."""
         if self._patch_projection is None:
-            n_el = self.curve.n_elements
-            n_dof = 2 * self.curve.n_basis
+            n_el, p = self.curve.n_elements, self.curve.degree
             gel = self._pair_moments()
             mel = self._pair_mass(node=1.0)
-            g = np.zeros((n_el + 1, n_dof))
+            gw = np.zeros((self.curve.n_basis, 2, p + 2))
+            # G[e + l, 2(e + b) + c] += gel[e, l, 2b + c]: at most two terms
+            # per entry, exact in any order
+            for b in range(p + 1):
+                for l in (0, 1):
+                    gw[b:b + n_el, :, p - b + l] += gel[:, l, 2 * b:2 * b + 2]
             ab = np.zeros((2, n_el + 1))  # upper band form: superdiagonal, diagonal
-            # g[e + l, 2e:] += gel[e, l]: at most two terms per entry, exact in any order
-            step = (g.strides[0] + 2 * g.strides[1], g.strides[1])
-            for l in (0, 1):
-                as_strided(g[l:], gel[:, l].shape, step)[:] += gel[:, l]
             ab[1, :-1] += mel[:, 0, 0]
             ab[1, 1:] += mel[:, 1, 1]
             ab[0, 1:] += mel[:, 0, 1]
-            self._patch_projection = (ab, g)
+            self._patch_projection = (ab, gw)
         return self._patch_projection
 
-    def _membrane_lower(self) -> np.ndarray:
-        """EA * G^T M^-1 G, lower triangle only, in Fortran order.
+    def _membrane_band(self) -> np.ndarray:
+        """EA * G^T M^-1 G in column-major upper-band storage, half-width n - 1.
 
-        With the banded Cholesky factor M = U^T U and Y = U^-T G the matrix
-        is EA * Y^T Y: one triangular band solve, then one symmetric rank-k
-        update, which does half the flops of a general product.
+        Z = M^-1 G is one L D L^T sweep of the tridiagonal M over all columns
+        at once, held row-major with p zero rows above and below it and n - 1
+        zero columns before it. Band column j = 2B + c holds
+        K[0..j, j] = EA * gw[B, c] @ Z[B - p ... B + 1, 0..j], after the zeros
+        above the matrix; read through the buffer shifted by j columns, one
+        product yields both. So the band is one batch of
+        (1 x (p+2)) @ ((p+2) x n) products written straight into it: O(n^2)
+        time and memory.
         """
-        ab, g = self._global_projection()
-        y, info = dtbtrs(cholesky_banded(ab), g, trans="T")
-        assert info == 0, f"dtbtrs info {info}"
-        return dsyrk(self.section.ea, y, trans=1, lower=1)
+        mass, gw = self._global_projection()
+        n_el, p = self.curve.n_elements, self.curve.degree
+        nb = len(gw)
+        n = 2 * nb
+        z = np.zeros((n_el + 1 + 2 * p, 2 * n - 1))
+        s0, s1 = z.strides
+        window = (2 * s1 + s0, s1, s0)  # (B, c, t) -> z[B + t, 2B + c]
+        as_strided(z[:, n - 1:], gw.shape, window)[:] = gw  # G, column 2B + c at n - 1 + 2B + c
+        d, l, info = dpttrf(mass[1], mass[0, 1:])
+        assert info == 0, f"dpttrf info {info}"
+        rows = list(z[p:p + n_el + 1, n - 1:])
+        for a in range(1, n_el + 1):  # L^-1
+            daxpy(rows[a - 1], rows[a], a=-l[a - 1])
+        z[p:p + n_el + 1, n - 1:] /= d[:, None]
+        for a in reversed(range(n_el)):  # L^-T
+            daxpy(rows[a + 1], rows[a], a=-l[a])
+        ab = np.zeros((n, n), order="F")
+        shifted = as_strided(z, (nb, 2, p + 2, n), window + (s1,))  # z[B + t, 2B + c + s]
+        np.matmul(self.section.ea * gw[:, :, None, :], shifted,
+                  out=ab.T.reshape(nb, 2, 1, n))
+        return ab
 
     # -- post-solve field recovery ---------------------------------------------
 
@@ -293,8 +318,13 @@ class PatchOperators:
             return np.einsum("mi,mi->m", _membrane_rows(frames), win), kappa
 
         if form is ElementFormulation.GLOBAL_BBAR:
-            ab, g = self._global_projection()
-            nodal = solveh_banded(ab, g @ u_flat)
+            mass, gw = self._global_projection()
+            p = self.curve.degree
+            moments = np.einsum("bct,bc->bt", gw, u_flat.reshape(-1, 2))
+            gu = np.zeros(len(gw) + p + 1)  # G u, between p zeros on each side
+            for t in range(p + 2):
+                gu[t:t + len(gw)] += moments[:, t]
+            nodal = solveh_banded(mass, gu[p:len(gu) - p])
             coeff = np.stack([nodal[:-1], nodal[1:]], axis=1)
             node = 1.0
         else:

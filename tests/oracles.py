@@ -15,11 +15,21 @@
   fresh array per step (`unstacked_bspline_basis`, `unstacked_nurbs_basis`,
   `unstacked_frames`): the byte-for-byte oracle for the stacked block that
   `splines._basis_block` fills and `rod.frames_at` finishes in place.
+- The global B-bar membrane matrix EA * Y^T Y with Y = U^-T G, from the
+  banded Cholesky factor M = U^T U of the hat mass, a triangular band solve
+  and a symmetric rank-k update (`dsyrk_membrane`): the O(n^3) formation that
+  `PatchOperators._membrane_band` replaced, its normwise oracle.
+- The consistent distributed load with the quadrature-point positions formed
+  by one einsum over the element control nets (`einsum_distributed_load`):
+  the byte-for-byte oracle for the load vector of `assembly.assemble`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cholesky_banded
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dtbtrs
 
 from casrod.errors import DegenerateParametrizationError
 from casrod.rod import _MIN_JACOBIAN, ROT90, FrameBatch
@@ -263,3 +273,37 @@ def unstacked_frames(curve: NurbsCurve, xis) -> FrameBatch:
     d2n_ds2 -= bb.d1 * (rdot / jac**4)[:, None]
     return FrameBatch(xis, bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values,
                       curve=curve)
+
+
+def dsyrk_membrane(ops) -> np.ndarray:
+    """Dense EA * G^T M^-1 G of global B-bar operators `ops`, by dtbtrs + dsyrk.
+
+    G is scattered from the element moments one element at a time; each of
+    its entries sums at most two terms, so it is exact in any order.
+    """
+    n_el = ops.curve.n_elements
+    gel = ops._pair_moments()
+    g = np.zeros((n_el + 1, 2 * ops.curve.n_basis))
+    for e in range(n_el):
+        g[e:e + 2, 2 * e:2 * e + gel.shape[2]] += gel[e]
+    mass, _ = ops._global_projection()
+    y, info = dtbtrs(cholesky_banded(mass), g, trans="T")
+    assert info == 0, f"dtbtrs info {info}"
+    low = dsyrk(ops.section.ea, y, trans=1, lower=1)
+    return low + np.tril(low, -1).T
+
+
+def einsum_distributed_load(curve: NurbsCurve, ops, distributed) -> np.ndarray:
+    """Consistent load vector of the force density `distributed` (see `LoadSpec`)."""
+    n_el, nq = ops.xi_q.shape
+    net = curve.control_points[np.arange(n_el)[:, None] + np.arange(curve.degree + 1)]
+    x_q = np.einsum("eqj,ejc->eqc", ops.values, net)
+    load = np.broadcast_to(np.asarray(distributed(x_q), dtype=float), x_q.shape)
+    fe = np.zeros((n_el, curve.degree + 1, 2))
+    for q in range(nq):  # ascending q, as in the element integral
+        fe += (ops.wds[:, q, None] * ops.values[:, q])[:, :, None] * load[:, q, None, :]
+    f = np.zeros(2 * curve.n_basis)
+    f_ctrl = f.reshape(-1, 2)
+    for j in reversed(range(curve.degree + 1)):  # ascending element order per control
+        f_ctrl[j:j + n_el] += fe[:, j]
+    return f

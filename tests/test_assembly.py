@@ -43,7 +43,7 @@ from casrod.rod import frames_at
 from casrod.splines import nurbs_basis_many
 
 from conftest import straight_rod
-from oracles import greville_abscissae, insert_knot
+from oracles import einsum_distributed_load, greville_abscissae, insert_knot
 
 
 class TestGaussRule:
@@ -95,6 +95,17 @@ class TestGaussRule:
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("quad_points", [2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_distributed_load_equals_einsum_oracle_bit_for_bit(self, n, quad_points):
+        problem = build_arch_half(n, 0.01)
+        form = ElementFormulation.CAS
+        ops = PatchOperators(problem.curve, problem.section, form, quad_points)
+        system = assemble(problem.curve, problem.section, form, problem.loads, ops=ops)
+        want = einsum_distributed_load(problem.curve, ops, problem.loads.distributed)
+        assert want.any()
+        assert system.f.tobytes() == want.tobytes()
+
     def test_zero_loads(self):
         rod = straight_rod(3)
         system = assemble(rod, CrossSection(1.0, 1.0), ElementFormulation.NURBS_FULL,
@@ -552,8 +563,7 @@ def _dense_scatter(ops):
     for e, block in enumerate(ops.blocks):
         k[2 * e:2 * e + len(block), 2 * e:2 * e + len(block)] += block
     if ops.formulation is ElementFormulation.GLOBAL_BBAR:
-        low = ops._membrane_lower()
-        k += low + np.tril(low, -1).T
+        k += banded.to_dense(ops._membrane_band())
     return k
 
 
@@ -651,6 +661,40 @@ class TestBandStorage:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("form", list(ElementFormulation), ids=lambda f: f.value)
+    def test_bands_are_column_major(self, form):
+        # LAPACK's own layout: dpbsv and dsbmv take it without a transposing copy
+        problem = build_arch_half(7, 0.01)
+        system = assemble(problem.curve, problem.section, form, problem.loads)
+        con = apply_constraints(system, problem.constraints)
+        assert system.ab.flags.f_contiguous and con.ab.flags.f_contiguous
+
+    def test_global_bbar_peak_memory_in_bands(self):
+        # peak of each call above what is alive before it, in units of one
+        # n x n band: the output band plus one buffer of Z = M^-1 G in
+        # assembly, one copy for the factor in the solve
+        problem = build_arch_half(256, 0.01)
+        form = ElementFormulation.GLOBAL_BBAR
+        ops = PatchOperators(problem.curve, problem.section, form)
+        band_bytes = 8.0 * (2 * ops.curve.n_basis) ** 2
+
+        def peak_of(call):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = call()
+            return out, (tracemalloc.get_traced_memory()[1] - before) / band_bytes
+
+        tracemalloc.start()
+        try:
+            system, assemble_peak = peak_of(
+                lambda: assemble(problem.curve, problem.section, form, problem.loads, ops=ops))
+            con = apply_constraints(system, problem.constraints)
+            _, solve_peak = peak_of(lambda: solve(con))
+        finally:
+            tracemalloc.stop()
+        assert assemble_peak <= 3.0, assemble_peak
+        assert solve_peak <= 1.1, solve_peak
 
     def test_solve_peak_memory_below_8_mib(self):
         # the band, the patch operators and the load vector at 2048 arch

@@ -1,10 +1,11 @@
 """Element contractions of `PatchOperators` against an einsum oracle.
 
 The operators form every element block with batched matmul and the global
-B-bar membrane matrix with a banded Cholesky factor, a triangular band solve
-and a symmetric rank-k update. The oracle below recomputes the same blocks
-from the same quadrature data with three-operand einsum contractions and a
-dense solve, so only the summation order differs.
+B-bar membrane matrix with one tridiagonal sweep and windowed products. The
+oracle below recomputes the same blocks from the same quadrature data with
+three-operand einsum contractions and a dense solve, so only the summation
+order differs. The membrane matrix is also checked against the dtbtrs +
+dsyrk formation it replaced.
 """
 
 import numpy as np
@@ -19,6 +20,8 @@ from casrod import (
     build_ring_quarter,
 )
 from casrod.formulations import _linear_pair
+
+from oracles import dsyrk_membrane
 
 F = ElementFormulation
 BUILDERS = {
@@ -68,8 +71,12 @@ def test_blocks_and_band_match_einsum_oracle(form, problem):
         built = BUILDERS[problem](n)
         for quad_points in (2, 3):
             ops = PatchOperators(built.curve, built.section, form, quad_points)
-            with pytest.raises(ValueError):  # read-only: stiffness_band reads them
-                ops.blocks[0, 0, 0] = 0.0
+            # read-only: the stiffness, the load and the projection read them
+            for name in ("blocks", "wds", "mrows", "brows", "values", "xi_q"):
+                array = getattr(ops, name)
+                if array is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[(0,) * array.ndim] = 0.0
             blocks, membrane = _oracle(ops)
             dense = np.zeros((2 * ops.curve.n_basis,) * 2)
             for e in range(n):
@@ -79,9 +86,38 @@ def test_blocks_and_band_match_einsum_oracle(form, problem):
                 dofs = slice(2 * e, 2 * e + len(k))  # element e's dofs
                 dense[dofs, dofs] += blocks[e]
             if membrane is not None:
-                low = ops._membrane_lower()
-                k = low + np.tril(low, -1).T
+                k = banded.to_dense(ops._membrane_band())
                 assert np.array_equal(k, k.T)  # the full matrix, not one triangle
                 assert _close(k, membrane), (n, quad_points)
                 dense += membrane
             assert _close(banded.to_dense(ops.stiffness_band()), dense), (n, quad_points)
+
+
+def _normwise(got, want):
+    return np.linalg.norm(got - want, 1) / np.linalg.norm(want, 1)
+
+
+@pytest.mark.parametrize("problem", sorted(BUILDERS))
+def test_membrane_band_matches_dsyrk_formation(problem):
+    # normwise only: entries formed with cancellation differ between the two
+    # formations by far more than the norm does
+    for n in (1, 2, 7, 32, 128):
+        built = BUILDERS[problem](n)
+        for quad_points in (2, 3):
+            ops = PatchOperators(built.curve, built.section, F.GLOBAL_BBAR, quad_points)
+            band = ops._membrane_band()
+            assert band.flags.f_contiguous
+            assert _normwise(banded.to_dense(band), dsyrk_membrane(ops)) <= 1e-14, (n, quad_points)
+
+
+def test_membrane_band_is_full():
+    # the projection couples every dof pair: criterion 9's cost contrast
+    # rests on a band with no zero inside the matrix
+    built = BUILDERS["arch"](128)
+    ops = PatchOperators(built.curve, built.section, F.GLOBAL_BBAR)
+    band = ops._membrane_band()
+    n = band.shape[1]
+    assert band.shape == (n, n)
+    upper = banded.to_dense(band)[np.triu_indices(n)]
+    assert np.count_nonzero(upper) == upper.size
+    assert 0.0 < np.abs(upper).min() < 1e-30  # the far corner has decayed, not vanished

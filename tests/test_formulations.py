@@ -257,8 +257,15 @@ class TestGlobalBbar:
             main[e] += mel[e, 0, 0]
             main[e + 1] += mel[e, 1, 1]
             upper[e + 1] += mel[e, 0, 1]
-        ab, g_ops = ops._global_projection()
-        assert g_ops.tobytes() == g.tobytes()
+        ab, gw = ops._global_projection()
+        # gw[B, c, t] = G[B - p + t, 2B + c]: scattered back, with p zero rows
+        # above and below, it gives every entry of G and nothing else
+        p = ops.curve.degree
+        scattered = np.zeros((n + 1 + 2 * p, g.shape[1]))
+        for b, c, t in np.ndindex(gw.shape):
+            scattered[b + t, 2 * b + c] = gw[b, c, t]
+        assert not scattered[:p].any() and not scattered[n + 1 + p:].any()
+        assert scattered[p:n + 1 + p].tobytes() == g.tobytes()
         assert ab.tobytes() == np.vstack([upper, main]).tobytes()
 
     def test_matches_cas_deflections_on_fine_mesh(self):
