@@ -17,7 +17,8 @@ factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -67,8 +68,18 @@ class LoadSpec:
     distributed: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+class _DofRecord:
+    """Names dofs 2 * control + component: a bad index or component is a ValueError."""
+
+    def __post_init__(self):
+        values = [getattr(self, f.name) for f in fields(self)]  # the controls, then the component
+        if not all(isinstance(v, numbers.Integral) and v >= 0 for v in values) or values[-1] > 1:
+            raise ValueError(f"{self} names no dof: control indices must be integers "
+                             ">= 0 and the component 0 or 1")
+
+
 @dataclass(frozen=True)
-class FixedDof:
+class FixedDof(_DofRecord):
     """Prescribe component `component` of control variable `control_index` to zero."""
 
     control_index: int
@@ -76,7 +87,7 @@ class FixedDof:
 
 
 @dataclass(frozen=True)
-class TieDof:
+class TieDof(_DofRecord):
     """Equate one Cartesian component of two control variables (homogeneous tie)."""
 
     control_a: int

@@ -13,10 +13,10 @@ including signs) to be reproduced by the discretization:
   distributed load (0, -q y/R) = (0, -q sin phi) at the point (x, y) is the
   vertical load q per unit horizontal length converted to arc-length density.
 * Clamped elliptical arch: quarter ellipse from the clamped end (-a, 0) to
-  the free end (0, b), vertical point load at the free end. No closed-form
-  solution exists; free-end reference displacements come from a fine-mesh
-  (Richardson-checked) CAS solve and the clamped-end resultants from static
-  equilibrium: |N| = P and |M| = P*a.
+  the free end (0, b), vertical point load at the free end. The arch is
+  statically determinate, so its resultants are exact and the free-end
+  reference displacements are a unit-load (virtual-work) integral of them;
+  see `ellipse_reference`. No exact fields are attached.
 
 Every mesh is built in one closed-form step from the single rational
 quadratic Bezier segment of its conic (see `_refine_to`), so the geometry
@@ -45,6 +45,7 @@ from .assembly import (
     symmetry_end_constraints,
 )
 from .formulations import ElementFormulation, PatchOperators
+from .quadrature import _gauss_points, _legendre
 from .rod import CrossSection
 from .splines import KnotVector, NurbsCurve
 
@@ -63,6 +64,7 @@ __all__ = [
 _RING_RADIUS = 1.0
 _ARCH_RADIUS = 10.0
 _ELLIPSE_AXES = (2.0, 1.0)  # semi-axes a (along x) and b (along y)
+_ELLIPSE_YOUNG, _ELLIPSE_WIDTH = 7.0e10, 0.1
 
 
 def _quarter_conic(start, corner, end) -> NurbsCurve:
@@ -306,14 +308,14 @@ def build_ellipse_quarter(n_elements: int, t: float,
     P = 1e7 t^3 at the free end (0, b).
 
     Passing with_reference_checks=True attaches free-end point checks against
-    the fine-mesh reference solve (computed once per thickness and cached).
+    `ellipse_reference` (computed once per thickness and cached).
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"thickness must be positive and finite, got {t}")
-    (a_ax, b_ax), young, width = _ELLIPSE_AXES, 7.0e10, 0.1
+    a_ax, b_ax = _ELLIPSE_AXES
     p_load = 1e7 * t**3
     curve = _refine_to(_ELLIPSE_BASE, n_elements)
-    section = CrossSection.rectangular(young, t, width)
+    section = CrossSection.rectangular(_ELLIPSE_YOUNG, t, _ELLIPSE_WIDTH)
     loads = LoadSpec(point_loads=[("end", np.array([0.0, -p_load]))])
     constraints = clamped_end_constraints(curve, "start")
 
@@ -323,10 +325,8 @@ def build_ellipse_quarter(n_elements: int, t: float,
     point_checks = []
     if with_reference_checks:
         ref = ellipse_reference(t)
-        point_checks = [
-            PointCheck("ux_free", 1.0, (1.0, 0.0), ref["ux_free"]),
-            PointCheck("uy_free", 1.0, (0.0, 1.0), ref["uy_free"]),
-        ]
+        point_checks = [PointCheck(key, 1.0, direction, ref[key]) for key, direction
+                        in (("ux_free", (1.0, 0.0)), ("uy_free", (0.0, 1.0)))]
     return BenchmarkProblem(
         name="ellipse",
         curve=curve,
@@ -341,34 +341,30 @@ def build_ellipse_quarter(n_elements: int, t: float,
 
 @functools.lru_cache(maxsize=None)
 def ellipse_reference(t: float) -> dict:
-    """Reference values for the elliptical arch at thickness t.
+    """Exact reference values for the elliptical arch at thickness t.
 
-    Free-end displacements come from CAS solves on 512 and 1024 elements with
-    Richardson extrapolation (rate 2); `richardson_rel_diff` records the
-    mesh-to-mesh agreement and `converged` whether it met 1e-4. Clamped-end
-    resultant magnitudes follow from static equilibrium of the whole arch:
+    The clamped-free arch is statically determinate: under the tip load F,
+    N = F . a1 and M = (r_tip - r) x F. A unit tip load d gives N_d and M_d
+    alike, so by virtual work the free-end displacement is
+    u . d = integral of (N N_d / EA + M M_d / EI) ds, summed to machine
+    precision by 10-point Gauss rules on 16 equal spans of the ellipse angle.
+    The clamped-end resultant magnitudes follow from the same statics:
     |N| = P (the tangent at the clamp is vertical, like the load) and
-    |M| = P*a (horizontal lever arm between the ends).
+    |M| = P*a (horizontal lever arm).
     """
-    p_load, a_ax = 1e7 * t**3, _ELLIPSE_AXES[0]
-
-    def free_end(n_el: int) -> np.ndarray:
-        problem = build_ellipse_quarter(n_el, t)
-        sol = solve_problem(problem, ElementFormulation.CAS)
-        return sol.u[-1].copy()
-
-    coarse = free_end(512)
-    fine = free_end(1024)
-    rel = float(np.max(np.abs(fine - coarse) / np.abs(fine)))
-    extrapolated = fine + (fine - coarse) / 3.0
-    return {
-        "ux_free": float(extrapolated[0]),
-        "uy_free": float(extrapolated[1]),
-        "n_clamp_abs": p_load,
-        "m_clamp_abs": p_load * a_ax,
-        "richardson_rel_diff": rel,
-        "converged": rel < 1e-4,
-    }
+    (a_ax, b_ax), p_load = _ELLIPSE_AXES, 1e7 * t**3
+    section = CrossSection.rectangular(_ELLIPSE_YOUNG, t, _ELLIPSE_WIDTH)  # rejects a bad t
+    rule, edges = _legendre(10), np.linspace(0.0, math.pi / 2, 17)
+    phi, half = _gauss_points(edges[:-1], edges[1:], rule.points)
+    sin, cos = np.sin(phi), np.cos(phi)
+    dr = np.stack([a_ax * sin, b_ax * cos])  # dr/dphi of r = (-a cos, b sin)
+    jac = np.hypot(*dr)
+    ds = jac * (half[:, None] * rule.weights).reshape(-1)
+    # N_d = d . a1 and M_d = (r_tip - r) x d for d = e_x, e_y; F = -P e_y
+    n_d, m_d = dr / jac, np.stack([b_ax * (sin - 1.0), a_ax * cos])
+    u_free = -p_load * (n_d * n_d[1] / section.ea + m_d * m_d[1] / section.ei) @ ds
+    return {"ux_free": float(u_free[0]), "uy_free": float(u_free[1]),
+            "n_clamp_abs": p_load, "m_clamp_abs": p_load * a_ax}
 
 
 def solve_problem(problem: BenchmarkProblem, formulation: ElementFormulation,

@@ -25,9 +25,8 @@ from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import solveh_banded
 from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .quadrature import _gauss_points, gauss_rule
 from .rod import CrossSection, FrameBatch, frames_at
@@ -141,7 +140,8 @@ class PatchOperators:
         kb = _weighted_gram(section.ei * self.wds, self.brows)
         km = None  # the membrane blocks of the element-local formulations
         self._pair = None  # (strain rows, node) of the assumed-strain pair forms
-        self._patch_projection = None
+        self._projection = (self._global_projection()  # (d, l, gw), global B-bar only
+                            if form is ElementFormulation.GLOBAL_BBAR else None)
 
         if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
             km = _weighted_gram(section.ea * self.wds, self.mrows)
@@ -237,26 +237,24 @@ class PatchOperators:
     # -- patch-level membrane operator for the global B-bar method ------------
 
     def _global_projection(self):
-        """Hat-function mass M (upper band, 2 x (n_el + 1)) and the strain
-        integral matrix G in window form: column 2B + c of G (component c of
-        control B) is nonzero only in rows B - p ... B + 1, and
-        gw[B, c, t] = G[B - p + t, 2B + c]."""
-        if self._patch_projection is None:
-            n_el, p = self.curve.n_elements, self.curve.degree
-            gel = self._pair_moments()
-            mel = self._pair_mass(node=1.0)
-            gw = np.zeros((self.curve.n_basis, 2, p + 2))
-            # G[e + l, 2(e + b) + c] += gel[e, l, 2b + c]: at most two terms
-            # per entry, exact in any order
-            for b in range(p + 1):
-                for l in (0, 1):
-                    gw[b:b + n_el, :, p - b + l] += gel[:, l, 2 * b:2 * b + 2]
-            ab = np.zeros((2, n_el + 1))  # upper band form: superdiagonal, diagonal
-            ab[1, :-1] += mel[:, 0, 0]
-            ab[1, 1:] += mel[:, 1, 1]
-            ab[0, 1:] += mel[:, 0, 1]
-            self._patch_projection = (ab, gw)
-        return self._patch_projection
+        """The L D L^T factor (d, l) of the tridiagonal hat-function mass M
+        (`dpttrf`) and the strain integral matrix G in window form: column
+        2B + c of G (component c of control B) is nonzero only in rows
+        B - p ... B + 1, and gw[B, c, t] = G[B - p + t, 2B + c]."""
+        n_el, p = self.curve.n_elements, self.curve.degree
+        gel = self._pair_moments()
+        mel = self._pair_mass(node=1.0)
+        gw = np.zeros((self.curve.n_basis, 2, p + 2))
+        # G[e + l, 2(e + b) + c] += gel[e, l, 2b + c]: at most two terms
+        # per entry, exact in any order
+        for b in range(p + 1):
+            for l in (0, 1):
+                gw[b:b + n_el, :, p - b + l] += gel[:, l, 2 * b:2 * b + 2]
+        diagonal = np.append(mel[:, 0, 0], 0.0)
+        diagonal[1:] += mel[:, 1, 1]
+        d, l, info = dpttrf(diagonal, mel[:, 0, 1])
+        assert info == 0, f"dpttrf info {info}"
+        return d, l, gw
 
     def _membrane_band(self) -> np.ndarray:
         """EA * G^T M^-1 G in column-major upper-band storage, half-width n - 1.
@@ -270,7 +268,7 @@ class PatchOperators:
         (1 x (p+2)) @ ((p+2) x n) products written straight into it: O(n^2)
         time and memory.
         """
-        mass, gw = self._global_projection()
+        d, l, gw = self._projection
         n_el, p = self.curve.n_elements, self.curve.degree
         nb = len(gw)
         n = 2 * nb
@@ -278,8 +276,6 @@ class PatchOperators:
         s0, s1 = z.strides
         window = (2 * s1 + s0, s1, s0)  # (B, c, t) -> z[B + t, 2B + c]
         as_strided(z[:, n - 1:], gw.shape, window)[:] = gw  # G, column 2B + c at n - 1 + 2B + c
-        d, l, info = dpttrf(mass[1], mass[0, 1:])
-        assert info == 0, f"dpttrf info {info}"
         rows = list(z[p:p + n_el + 1, n - 1:])
         for a in range(1, n_el + 1):  # L^-1
             daxpy(rows[a - 1], rows[a], a=-l[a - 1])
@@ -318,13 +314,13 @@ class PatchOperators:
             return np.einsum("mi,mi->m", _membrane_rows(frames), win), kappa
 
         if form is ElementFormulation.GLOBAL_BBAR:
-            mass, gw = self._global_projection()
+            d, l, gw = self._projection
             p = self.curve.degree
             moments = np.einsum("bct,bc->bt", gw, u_flat.reshape(-1, 2))
             gu = np.zeros(len(gw) + p + 1)  # G u, between p zeros on each side
             for t in range(p + 2):
                 gu[t:t + len(gw)] += moments[:, t]
-            nodal = solveh_banded(mass, gu[p:len(gu) - p])
+            nodal = dpttrs(d, l, gu[p:len(gu) - p])[0]
             coeff = np.stack([nodal[:-1], nodal[1:]], axis=1)
             node = 1.0
         else:

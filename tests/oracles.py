@@ -22,15 +22,22 @@
 - The consistent distributed load with the quadrature-point positions formed
   by one einsum over the element control nets (`einsum_distributed_load`):
   the byte-for-byte oracle for the load vector of `assembly.assemble`.
+- The elliptical arch's free-end displacements from CAS solves on 512 and
+  1024 elements with Richardson extrapolation (`fine_mesh_ellipse_free_end`):
+  the former `benchmarks.ellipse_reference`, now an oracle for its closed
+  form that does not evaluate the same integral.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.linalg import cholesky_banded
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtbtrs
 
+from casrod import ElementFormulation, build_ellipse_quarter, solve_problem
 from casrod.errors import DegenerateParametrizationError
 from casrod.rod import _MIN_JACOBIAN, ROT90, FrameBatch
 from casrod.splines import (BasisBatch, KnotVector, NurbsCurve, _find_spans, combine,
@@ -286,7 +293,11 @@ def dsyrk_membrane(ops) -> np.ndarray:
     g = np.zeros((n_el + 1, 2 * ops.curve.n_basis))
     for e in range(n_el):
         g[e:e + 2, 2 * e:2 * e + gel.shape[2]] += gel[e]
-    mass, _ = ops._global_projection()
+    mel = ops._pair_mass(1.0)
+    mass = np.zeros((2, n_el + 1))  # upper band form: superdiagonal, diagonal
+    mass[1, :-1] += mel[:, 0, 0]
+    mass[1, 1:] += mel[:, 1, 1]
+    mass[0, 1:] += mel[:, 0, 1]
     y, info = dtbtrs(cholesky_banded(mass), g, trans="T")
     assert info == 0, f"dtbtrs info {info}"
     low = dsyrk(ops.section.ea, y, trans=1, lower=1)
@@ -307,3 +318,17 @@ def einsum_distributed_load(curve: NurbsCurve, ops, distributed) -> np.ndarray:
     for j in reversed(range(curve.degree + 1)):  # ascending element order per control
         f_ctrl[j:j + n_el] += fe[:, j]
     return f
+
+
+@functools.lru_cache(maxsize=None)
+def fine_mesh_ellipse_free_end(t: float) -> dict:
+    """Free-end (u_x, u_y) of the elliptical arch at thickness t, Richardson-
+    extrapolated (rate 2) from CAS solves on 512 and 1024 elements, and the
+    relative mesh-to-mesh agreement of the two solves."""
+    def free_end(n_el: int) -> np.ndarray:
+        return solve_problem(build_ellipse_quarter(n_el, t), ElementFormulation.CAS).u[-1]
+
+    coarse, fine = free_end(512), free_end(1024)
+    extrapolated = fine + (fine - coarse) / 3.0
+    return {"ux_free": float(extrapolated[0]), "uy_free": float(extrapolated[1]),
+            "mesh_rel_diff": float(np.max(np.abs(fine - coarse) / np.abs(fine)))}

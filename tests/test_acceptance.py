@@ -35,7 +35,7 @@ from casrod.metrics import point_errors
 from casrod.rod import frames_at
 
 from conftest import strains_at
-from oracles import bending_strain, membrane_strain
+from oracles import bending_strain, fine_mesh_ellipse_free_end, membrane_strain
 
 F = ElementFormulation
 MESHES = [2 * 2**k for k in range(8)]  # 2 .. 256
@@ -248,10 +248,11 @@ class TestCriterion7Ellipse:
         sol_gb = solve_problem(problem, F.GLOBAL_BBAR)
         err_cas = abs(sol_cas.u[-1, 1] - ref["uy_free"]) / abs(ref["uy_free"])
         err_gb = abs(sol_gb.u[-1, 1] - ref["uy_free"]) / abs(ref["uy_free"])
+        fine = fine_mesh_ellipse_free_end(ELLIPSE_EXTREME_T)
+        fine_dev = abs(fine["uy_free"] - ref["uy_free"]) / abs(ref["uy_free"])
         announce(7, "ellipse at R_max/t = 1e5 (reported, not gated)", True,
                  f"uy_free error: CAS {err_cas * 100:.1f}%, global B-bar "
-                 f"{err_gb * 100:.1f}%, reference mesh agreement "
-                 f"{ref['richardson_rel_diff']:.1e}")
+                 f"{err_gb * 100:.1f}%, fine-mesh CAS {fine_dev:.1e}")
 
 
 class TestCriterion8PropertySuites:

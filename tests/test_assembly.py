@@ -342,6 +342,21 @@ class TestConstraints:
         with pytest.raises(ValueError, match="itself"):
             apply_constraints(system, problem.constraints + [TieDof(2, 2, 0)])
 
+    @pytest.mark.parametrize("make", [
+        lambda: FixedDof(0, 2),     # used to fix control 1's x dof
+        lambda: FixedDof(1, -1),    # used to fix control 0's y dof
+        lambda: TieDof(2, 3, 2),    # used to tie controls 3 and 4
+        lambda: FixedDof(1.5, 0),   # used to raise IndexError
+    ], ids=["component-2", "component-minus-1", "tie-component-2", "fractional-index"])
+    def test_record_naming_no_dof_rejected(self, make):
+        # dof = 2 * control + component: any other component or a non-integral
+        # index named another dof, or none, without an error
+        problem = build_arch_half(4, 0.01)
+        system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                          problem.loads)
+        with pytest.raises(ValueError, match="names no dof"):
+            apply_constraints(system, problem.constraints + [make()])
+
     def test_duplicate_tie_rejected(self):
         # folding the symmetry tie twice moved the solution by 0.070 (max |u| 0.073)
         problem = build_ring_quarter(4, 1e6)

@@ -1,10 +1,13 @@
 """Tests for the benchmark problems and their exact/reference solutions."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import casrod.benchmarks
 from casrod import (
     ElementFormulation,
     build_arch_half,
@@ -13,6 +16,7 @@ from casrod import (
     ellipse_reference,
     evaluate_geometry,
     solve_problem,
+    standard_slenderness_cases,
 )
 from casrod.benchmarks import _arch_exact, _refine_to
 from casrod.errors import MissingExactFieldError
@@ -20,7 +24,13 @@ from casrod.metrics import l2_errors
 from casrod.rod import frames_at
 
 from conftest import strains_at
-from oracles import insert_knot
+from oracles import fine_mesh_ellipse_free_end, insert_knot
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
+
+import checks  # noqa: E402  (perfbench's virtual-work oracle)
 
 
 def five_point_derivative(f, x, h):
@@ -179,8 +189,9 @@ class TestEllipseProblem:
 
     def test_reference_values(self):
         ref = ellipse_reference(0.04)
-        assert ref["converged"]
-        assert ref["richardson_rel_diff"] < 1e-4
+        fine = fine_mesh_ellipse_free_end(0.04)
+        assert fine["mesh_rel_diff"] < 1e-4
+        assert max(abs(ref[k] - fine[k]) / abs(ref[k]) for k in ("ux_free", "uy_free")) < 1e-4
         # static equilibrium magnitudes
         p_load = 1e7 * 0.04**3
         assert ref["n_clamp_abs"] == pytest.approx(p_load)
@@ -205,6 +216,40 @@ class TestEllipseProblem:
     def test_invalid_thickness(self):
         with pytest.raises(ValueError, match="thickness"):
             build_ellipse_quarter(4, -0.1)
+
+
+class TestEllipseReference:
+    """The closed-form reference against two references that are not itself."""
+
+    @pytest.mark.parametrize("t", [0.4, 0.04, 0.004, 4e-4])
+    def test_agrees_with_fine_mesh_cas(self, t):
+        # the CAS solve the reference used to be; at t = 4e-5 it is 4e-4 off
+        ref, fine = ellipse_reference(t), fine_mesh_ellipse_free_end(t)
+        assert max(abs(ref[k] - fine[k]) / abs(ref[k]) for k in ("ux_free", "uy_free")) < 1e-4
+
+    @pytest.mark.parametrize("t", [c.value for c in standard_slenderness_cases("ellipse")])
+    def test_agrees_with_virtual_work_oracle(self, t):
+        # the same integral, summed by perfbench on 200 spans of its own
+        oracle = checks.ellipse_free_end_oracle(t)
+        assert checks.reference_deviation(ellipse_reference(t), oracle) <= 1e-14
+
+    def test_assembles_and_solves_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ellipse_reference assembled or solved a mesh")
+
+        for name in ("solve_problem", "assemble", "PatchOperators"):
+            monkeypatch.setattr(casrod.benchmarks, name, refuse)
+        ellipse_reference.cache_clear()
+        try:
+            ref = ellipse_reference(0.04)
+        finally:
+            ellipse_reference.cache_clear()
+        assert set(ref) == {"ux_free", "uy_free", "n_clamp_abs", "m_clamp_abs"}
+
+    @pytest.mark.parametrize("t", [0.0, -0.1, math.nan, math.inf, 1e-300])
+    def test_invalid_thickness(self, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ellipse_reference(t)
 
 
 @pytest.mark.parametrize("build, value", [

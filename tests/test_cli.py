@@ -2,7 +2,7 @@
 
 import pytest
 
-from casrod import ElementFormulation
+from casrod import ElementFormulation, ellipse_reference
 from casrod.cli import (
     CONVERGE_HEADER,
     FIELDS_HEADER,
@@ -110,7 +110,9 @@ class TestFieldsCommand:
         lines = run_field_dump(config).strip().splitlines()
         data = lines[1].split(",")
         assert data[6] == "" and data[7] == ""  # no exact fields
-        assert lines[-1].startswith("# reference ux_free=")
+        ref = ellipse_reference(0.04)
+        keys = ("ux_free", "uy_free", "n_clamp_abs", "m_clamp_abs")
+        assert lines[-1] == "# reference " + " ".join(f"{k}={ref[k]:.10e}" for k in keys)
 
     def test_requires_element_count(self):
         with pytest.raises(ValueError, match="element count"):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf
 
 from casrod import (
     CrossSection,
@@ -257,7 +258,7 @@ class TestGlobalBbar:
             main[e] += mel[e, 0, 0]
             main[e + 1] += mel[e, 1, 1]
             upper[e + 1] += mel[e, 0, 1]
-        ab, gw = ops._global_projection()
+        d, l, gw = ops._projection
         # gw[B, c, t] = G[B - p + t, 2B + c]: scattered back, with p zero rows
         # above and below, it gives every entry of G and nothing else
         p = ops.curve.degree
@@ -266,7 +267,10 @@ class TestGlobalBbar:
             scattered[b + t, 2 * b + c] = gw[b, c, t]
         assert not scattered[:p].any() and not scattered[n + 1 + p:].any()
         assert scattered[p:n + 1 + p].tobytes() == g.tobytes()
-        assert ab.tobytes() == np.vstack([upper, main]).tobytes()
+        # the stored factor is the L D L^T factor of this very hat mass
+        d_ref, l_ref, info = dpttrf(main, upper[1:])
+        assert info == 0
+        assert d.tobytes() == d_ref.tobytes() and l.tobytes() == l_ref.tobytes()
 
     def test_matches_cas_deflections_on_fine_mesh(self):
         problem = build_ring_quarter(64, 1e6)

@@ -47,8 +47,8 @@ def test_point_error_job_and_reference_cache():
 
 def test_ellipse_points_job_with_fresh_reference():
     # the ellipse workload's CAS job: the traced path regenerates the
-    # reference (two fine-mesh CAS solves) inside its span, as worker.py
-    # does for the first job of every ellipse study
+    # reference (the virtual-work quadrature, no solve) inside its span, as
+    # worker.py does for the first job of every ellipse study
     job = Job("contract", "ellipse", "cas", 0.04, 8, "points")
     stages.ellipse_reference.cache_clear()
     plain = stages.run_plain(job)
