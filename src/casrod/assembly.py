@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dpbsv
 
 from . import banded
+from ._lapack import dpbsv
 from .errors import (DegenerateParametrizationError, NonAxisAlignedRotationError,
                      SingularSystemError)
 from .formulations import ElementFormulation, PatchOperators

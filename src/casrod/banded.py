@@ -12,7 +12,8 @@ array; the rest costs O(n * hb).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
+
+from ._lapack import dsbmv
 
 __all__ = ["to_dense", "matvec", "norm1"]
 

@@ -30,8 +30,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import types
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -340,7 +341,7 @@ def build_ellipse_quarter(n_elements: int, t: float,
 
 
 @functools.lru_cache(maxsize=None)
-def ellipse_reference(t: float) -> dict:
+def ellipse_reference(t: float) -> Mapping[str, float]:
     """Exact reference values for the elliptical arch at thickness t.
 
     The clamped-free arch is statically determinate: under the tip load F,
@@ -350,7 +351,8 @@ def ellipse_reference(t: float) -> dict:
     precision by 10-point Gauss rules on 16 equal spans of the ellipse angle.
     The clamped-end resultant magnitudes follow from the same statics:
     |N| = P (the tangent at the clamp is vertical, like the load) and
-    |M| = P*a (horizontal lever arm).
+    |M| = P*a (horizontal lever arm). The values are cached per thickness, so
+    they come back as a read-only mapping.
     """
     (a_ax, b_ax), p_load = _ELLIPSE_AXES, 1e7 * t**3
     section = CrossSection.rectangular(_ELLIPSE_YOUNG, t, _ELLIPSE_WIDTH)  # rejects a bad t
@@ -363,8 +365,8 @@ def ellipse_reference(t: float) -> dict:
     # N_d = d . a1 and M_d = (r_tip - r) x d for d = e_x, e_y; F = -P e_y
     n_d, m_d = dr / jac, np.stack([b_ax * (sin - 1.0), a_ax * cos])
     u_free = -p_load * (n_d * n_d[1] / section.ea + m_d * m_d[1] / section.ei) @ ds
-    return {"ux_free": float(u_free[0]), "uy_free": float(u_free[1]),
-            "n_clamp_abs": p_load, "m_clamp_abs": p_load * a_ax}
+    return types.MappingProxyType({"ux_free": float(u_free[0]), "uy_free": float(u_free[1]),
+                                   "n_clamp_abs": p_load, "m_clamp_abs": p_load * a_ax})
 
 
 def solve_problem(problem: BenchmarkProblem, formulation: ElementFormulation,

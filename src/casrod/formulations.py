@@ -25,9 +25,8 @@ from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import daxpy, dpttrf, dpttrs
 from .quadrature import _gauss_points, gauss_rule
 from .rod import CrossSection, FrameBatch, frames_at
 from .splines import NurbsCurve

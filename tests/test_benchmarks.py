@@ -251,6 +251,15 @@ class TestEllipseReference:
         with pytest.raises(ValueError, match="positive and finite"):
             ellipse_reference(t)
 
+    def test_cached_result_is_read_only(self):
+        # a write into the cached result would change the reference process-wide
+        uy_free = ellipse_reference(0.04)["uy_free"]
+        with pytest.raises(TypeError):
+            ellipse_reference(0.04)["uy_free"] = 0.0
+        assert ellipse_reference(0.04)["uy_free"] == uy_free
+        checks = build_ellipse_quarter(4, 0.04, with_reference_checks=True).point_checks
+        assert [c.value for c in checks if c.label == "uy_free"] == [uy_free]
+
 
 @pytest.mark.parametrize("build, value", [
     (build_ring_quarter, np.nan), (build_ring_quarter, np.inf),
