@@ -11,7 +11,9 @@ EA (1e4/1e6/1e8 in the studies), the arch and the ellipse take the section
 thickness t. The err_uxA/err_uyB columns hold the ring's point errors at A
 and B; for the ellipse they hold the free-end u_x/u_y errors against the
 virtual-work reference `ellipse_reference`; the arch leaves them empty (its
-exact-field errors are in e_u/e_N/e_M).
+exact-field errors are in e_u/e_N/e_M). Each row is one `l2_errors` report;
+a missing value (no exact field, no point error, a NaN sample) is an empty
+cell.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -34,8 +36,7 @@ from .benchmarks import (
 )
 from .errors import DegenerateParametrizationError, SingularSystemError
 from .formulations import ElementFormulation
-from .metrics import (FIELD_COLUMNS, ConvergenceRecord, ErrorReport, l2_errors,
-                      point_errors, sample_fields)
+from .metrics import FIELD_COLUMNS, ConvergenceRecord, l2_errors, sample_fields
 
 __all__ = ["RunConfig", "StudyError", "convergence_records", "run_convergence_study",
            "run_field_dump", "main", "CONVERGE_HEADER", "FIELDS_HEADER"]
@@ -51,10 +52,9 @@ _POINT_COLUMNS = {
     "ellipse": ("ux_free", "uy_free"),
 }
 
-PROBLEMS = ("ring", "arch", "ellipse")
+PROBLEMS = tuple(_POINT_COLUMNS)
 
-_NUMERICAL_ERRORS = (SingularSystemError, DegenerateParametrizationError,
-                     np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (SingularSystemError, DegenerateParametrizationError)
 
 
 class StudyError(Exception):
@@ -118,9 +118,7 @@ def _build(problem: str, n_elements: int, slenderness: float) -> BenchmarkProble
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.10e}"
+    return "" if value is None or np.isnan(value) else f"{value:.10e}"
 
 
 def convergence_records(config: RunConfig) -> tuple[list[ConvergenceRecord], int]:
@@ -134,11 +132,7 @@ def convergence_records(config: RunConfig) -> tuple[list[ConvergenceRecord], int
                 problem = _build(config.problem, n_elements, slenderness)
                 solution = solve_problem(problem, config.formulation,
                                          config.quad_points)
-                if problem.has_exact_fields:
-                    report = l2_errors(problem, solution)
-                else:
-                    report = ErrorReport(e_u=None, e_n=None, e_m=None,
-                                         point_errors=point_errors(problem, solution))
+                report = l2_errors(problem, solution)
             except Exception as exc:
                 raise _study_error(exc, config.problem, n_elements, slenderness) from exc
             quad_points = solution.quad_points
@@ -155,19 +149,11 @@ def run_convergence_study(config: RunConfig) -> str:
     col_a, col_b = _POINT_COLUMNS[config.problem]
     lines = [CONVERGE_HEADER]
     for rec in records:
-        lines.append(",".join([
-            config.problem,
-            config.formulation.value,
-            str(quad_points),
-            str(rec.n_elements),
-            str(rec.n_dof),
-            f"{rec.slenderness:g}",
-            _fmt(rec.report.e_u),
-            _fmt(rec.report.e_n),
-            _fmt(rec.report.e_m),
-            _fmt(rec.report.point_errors.get(col_a)),
-            _fmt(rec.report.point_errors.get(col_b)),
-        ]))
+        r = rec.report
+        errors = (r.e_u, r.e_n, r.e_m, r.point_errors.get(col_a), r.point_errors.get(col_b))
+        lines.append(",".join([config.problem, config.formulation.value, str(quad_points),
+                               str(rec.n_elements), str(rec.n_dof), f"{rec.slenderness:g}",
+                               *map(_fmt, errors)]))
     return "\n".join(lines) + "\n"
 
 
@@ -183,7 +169,7 @@ def run_field_dump(config: RunConfig) -> str:
     rows = sample_fields(problem, solution, config.samples)
     lines = [FIELDS_HEADER]
     for row in rows:
-        lines.append(",".join("" if np.isnan(v) else f"{v:.10e}" for v in row))
+        lines.append(",".join(map(_fmt, row)))
     if config.problem == "ellipse":
         ref = ellipse_reference(slenderness)
         lines.append("# reference ux_free=%.10e uy_free=%.10e n_clamp_abs=%.10e "
@@ -203,61 +189,44 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="casrod",
                      description="Curved Kirchhoff rod convergence harness")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--problem", required=True, choices=PROBLEMS)
+    shared.add_argument("--formulation", required=True,
+                        choices=[f.value for f in ElementFormulation])
+    shared.add_argument("--slenderness", required=True, action="append", type=float,
+                        help="ring: EA, arch/ellipse: thickness t; repeatable for converge")
+    shared.add_argument("--quad-points", type=int, choices=(2, 3), default=None)
+    shared.add_argument("--out", default=None, help="CSV path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
-    form_values = [f.value for f in ElementFormulation]
 
-    conv = sub.add_parser("converge", help="run a mesh-refinement study",
+    conv = sub.add_parser("converge", parents=[shared], help="run a mesh-refinement study",
                           description="One CSV row per (mesh, slenderness). "
                                       "Slenderness is EA for the ring and the "
                                       "thickness t for the arch/ellipse.")
-    conv.add_argument("--problem", required=True, choices=PROBLEMS)
-    conv.add_argument("--formulation", required=True, choices=form_values)
-    conv.add_argument("--slenderness", required=True, action="append", type=float,
-                      help="repeatable; ring: EA, arch/ellipse: thickness t")
     conv.add_argument("--start-elements", type=int, default=2)
     conv.add_argument("--refinements", type=int, default=7)
-    conv.add_argument("--quad-points", type=int, choices=(2, 3), default=None)
-    conv.add_argument("--out", default=None, help="CSV path (default: stdout)")
 
-    flds = sub.add_parser("fields", help="dump sampled solution fields",
+    flds = sub.add_parser("fields", parents=[shared], help="dump sampled solution fields",
                           description="One CSV row per sample point of a "
                                       "single solved configuration.")
-    flds.add_argument("--problem", required=True, choices=PROBLEMS)
-    flds.add_argument("--formulation", required=True, choices=form_values)
-    flds.add_argument("--slenderness", required=True, type=float)
     flds.add_argument("--elements", required=True, type=int)
     flds.add_argument("--samples", type=int, default=101)
-    flds.add_argument("--quad-points", type=int, choices=(2, 3), default=None)
-    flds.add_argument("--out", default=None, help="CSV path (default: stdout)")
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         return exc.code or 0
 
+    run = run_convergence_study if args.pop("command") == "converge" else run_field_dump
+    args.update(formulation=ElementFormulation(args["formulation"]),
+                slenderness=tuple(args["slenderness"]))
     try:
-        if args.command == "converge":
-            config = RunConfig(problem=args.problem,
-                               formulation=ElementFormulation(args.formulation),
-                               slenderness=tuple(args.slenderness),
-                               start_elements=args.start_elements,
-                               refinements=args.refinements,
-                               quad_points=args.quad_points,
-                               out=args.out)
-            text = run_convergence_study(config)
-        else:
-            config = RunConfig(problem=args.problem,
-                               formulation=ElementFormulation(args.formulation),
-                               slenderness=(args.slenderness,),
-                               elements=args.elements,
-                               samples=args.samples,
-                               quad_points=args.quad_points,
-                               out=args.out)
-            text = run_field_dump(config)
+        config = RunConfig(**args)
+        text = run(config)
     except Exception as exc:
         original = exc.__cause__ if isinstance(exc, StudyError) else exc
         if isinstance(original, _NUMERICAL_ERRORS):

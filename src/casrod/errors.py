@@ -17,9 +17,5 @@ class SingularSystemError(RuntimeError):
     """Constrained stiffness matrix is not positive definite (insufficient constraints)."""
 
 
-class MissingExactFieldError(ValueError):
-    """An exact/reference field was requested for a problem that does not define it."""
-
-
 class InsufficientDataError(ValueError):
     """Not enough convergence records to estimate a rate."""

@@ -3,7 +3,9 @@
 The displacement, membrane-force, and bending-moment errors are relative L2
 norms over the model domain; the membrane force of a solution is recovered
 through its formulation's own strain representation (assumed strain for the
-locking treatments, compatible strain for plain NURBS).
+locking treatments, compatible strain for plain NURBS). `l2_errors` reports
+every problem, with None where it has no exact field. A metric given the
+solution of another problem (another curve object) raises ValueError.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .assembly import RodSolution
 from .benchmarks import BenchmarkProblem
-from .errors import InsufficientDataError, MissingExactFieldError
+from .errors import InsufficientDataError
 from .rod import frames_at
 from .quadrature import _gauss_points, _legendre
 from .splines import combine, nurbs_basis_many
@@ -67,8 +69,14 @@ def displacement_at(solution: RodSolution, xi) -> np.ndarray:
     return combine(solution.u, bb.first_active, bb.values).reshape(xi.shape + (2,))
 
 
+def _check_pair(problem: BenchmarkProblem, solution: RodSolution) -> None:
+    if solution.curve is not problem.curve:
+        raise ValueError(f"the solution was not computed on problem {problem.name!r}'s curve")
+
+
 def point_errors(problem: BenchmarkProblem, solution: RodSolution) -> dict[str, float]:
     """Relative displacement errors at the problem's reference points."""
+    _check_pair(problem, solution)
     checks = problem.point_checks
     return _point_errors(checks, displacement_at(solution, [c.xi for c in checks]))
 
@@ -83,14 +91,16 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
     """Relative L2 errors of u, N, and M against the problem's exact fields.
 
     Uses a dedicated error-integration rule (default 10 points per element,
-    saturation-verified); raises MissingExactFieldError when the problem has
-    no exact fields at all. One frame batch, the error points followed by
-    the point-check abscissae, gives the Jacobians, the positions for
-    `angle_map`, u^h, N^h, M^h and the point errors.
+    saturation-verified). An error is None where the problem has no exact
+    field; a problem with none at all gets only its point errors. One frame
+    batch, the error points followed by the point-check abscissae, gives the
+    Jacobians, the positions for `angle_map`, u^h, N^h, M^h and the point
+    errors.
     """
     if not problem.has_exact_fields:
-        raise MissingExactFieldError(
-            f"problem {problem.name!r} defines no exact fields")
+        return ErrorReport(e_u=None, e_n=None, e_m=None,
+                           point_errors=point_errors(problem, solution))
+    _check_pair(problem, solution)
     curve = solution.curve
     rule = _legendre(quad_pts_per_element)
     bp = np.asarray(curve.knot_vector.breakpoints, dtype=float)
@@ -141,6 +151,7 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
+    _check_pair(problem, solution)
     curve = solution.curve
     bp = np.asarray(curve.knot_vector.breakpoints, dtype=float)
     xis = _nudge_off_knots(np.linspace(0.0, 1.0, n_samples), bp)

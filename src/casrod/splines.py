@@ -41,7 +41,7 @@ class KnotVector:
     knots: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.knots, dtype=float)
+        t = np.array(self.knots, dtype=float)  # own copy: the caller's stays writable
         object.__setattr__(self, "knots", t)
         p = self.degree
         if p < 1:
@@ -83,8 +83,8 @@ class NurbsCurve:
     weights: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.control_points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        q = np.array(self.control_points, dtype=float)  # own copies: the caller's stay writable
+        w = np.array(self.weights, dtype=float)
         n = self.knot_vector.n_basis
         if q.shape != (n, 2):
             raise ValueError(f"expected {n} control points of dimension 2, got {q.shape}")

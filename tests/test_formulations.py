@@ -10,6 +10,7 @@ from casrod import (
     PatchOperators,
     banded,
     build_arch_half,
+    build_ellipse_quarter,
     build_ring_quarter,
     evaluate_geometry,
     solve_problem,
@@ -389,6 +390,28 @@ class TestFieldRecovery:
             mean_ex = wts @ m_ex
             worst = max(worst, abs(mean_h - mean_ex) / 0.5)
         assert worst < 0.01
+
+
+class TestEnergyConsistency:
+    # the stiffness and the strain recovery describe one energy:
+    # u.K.u = sum over the element rule of wds (EA eps^2 + EI kappa^2)
+    @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda f: f.value)
+    @pytest.mark.parametrize("build", [
+        lambda n: build_ring_quarter(n, 1e6), lambda n: build_arch_half(n, 0.01),
+        lambda n: build_ellipse_quarter(n, 0.04)], ids=["ring", "arch", "ellipse"])
+    def test_stiffness_energy_equals_recovered_energy(self, build, form):
+        rng = np.random.default_rng(20)
+        for n in (1, 2, 7, 32):
+            problem = build(n)
+            curve = problem.curve
+            for quad_points in (None, 2, 3):
+                ops = PatchOperators(curve, problem.section, form, quad_points)
+                u = rng.standard_normal(2 * curve.n_basis)
+                eps, kappa = ops.strains(u, frames_at(curve, ops.xi_q.ravel()))
+                wds = ops.wds.ravel()
+                recovered = np.sum(wds * (ops.section.ea * eps**2 + ops.section.ei * kappa**2))
+                stiffness = u @ banded.matvec(ops.stiffness_band(), u)
+                assert stiffness == pytest.approx(recovered, rel=1e-12), (n, quad_points)
 
 
 class TestFormulationDefaults:

@@ -20,8 +20,8 @@ from casrod import (
     sample_fields,
     solve_problem,
 )
-from casrod.errors import InsufficientDataError, MissingExactFieldError
-from casrod.metrics import FIELD_COLUMNS, _nudge_off_knots
+from casrod.errors import InsufficientDataError
+from casrod.metrics import FIELD_COLUMNS, _nudge_off_knots, point_errors
 from casrod.rod import ROT90, frames_at
 from casrod.splines import NurbsCurve
 
@@ -94,11 +94,13 @@ class TestL2Errors:
         assert report.e_n is not None
         assert set(report.point_errors) == {"uxA", "uyB"}
 
-    def test_ellipse_raises_without_exact_fields(self):
-        problem = build_ellipse_quarter(8, 0.04)
+    def test_ellipse_reports_point_errors_only(self):
+        problem = build_ellipse_quarter(8, 0.04, with_reference_checks=True)
         sol = solve_problem(problem, ElementFormulation.CAS)
-        with pytest.raises(MissingExactFieldError):
-            l2_errors(problem, sol)
+        report = l2_errors(problem, sol)
+        assert (report.e_u, report.e_n, report.e_m) == (None, None, None)
+        assert report.point_errors == point_errors(problem, sol)
+        assert set(report.point_errors) == {"ux_free", "uy_free"}
 
     def test_absolute_homogeneity(self):
         # scaling both the numerical and the exact fields by c > 0 leaves the
@@ -331,6 +333,25 @@ class TestSampleFields:
         sol = solve_problem(problem, ElementFormulation.NURBS_FULL)
         rows = sample_fields(problem, sol, 301)
         assert np.abs(rows[:, 4]).max() > 10 * 0.5
+
+
+class TestSolutionOfAnotherProblem:
+    # a ring solved at EA = 1e6 must not be scored against the EA = 1e4 closed forms
+    @pytest.mark.parametrize("metric", [
+        l2_errors, point_errors, lambda problem, sol: sample_fields(problem, sol, 5)],
+        ids=["l2_errors", "point_errors", "sample_fields"])
+    def test_rejected(self, metric):
+        sol = solve_problem(build_ring_quarter(4, 1e6), ElementFormulation.CAS)
+        with pytest.raises(ValueError, match="problem 'ring'.s curve"):
+            metric(build_ring_quarter(8, 1e4), sol)
+        with pytest.raises(ValueError, match="problem 'ring'.s curve"):
+            metric(build_ring_quarter(4, 1e4), sol)  # same mesh, another curve object
+
+    def test_rejected_without_exact_fields(self):
+        problem = build_ellipse_quarter(4, 0.04)
+        sol = solve_problem(build_ellipse_quarter(4, 0.04), ElementFormulation.CAS)
+        with pytest.raises(ValueError, match="problem 'ellipse'.s curve"):
+            l2_errors(problem, sol)
 
 
 class TestConvergenceRate:

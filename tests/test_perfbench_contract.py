@@ -3,8 +3,9 @@
 `perfbench/stages.py` calls casrod's public functions (and
 `solution_backward_error`, `point_errors`, `ellipse_reference.cache_clear`
 through the harness). A package change that breaks one of those imports or
-calls fails here in well under a second; `perfbench/selftest.py` covers the
-rest of the harness and takes much longer.
+calls fails here in well under a second, and so does one that moves a job's
+outputs outside its stored tolerance in `golden.json`;
+`perfbench/selftest.py` covers the rest of the harness and takes much longer.
 """
 
 import sys
@@ -14,7 +15,9 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
+import checks  # noqa: E402
 import stages  # noqa: E402
+import workloads  # noqa: E402
 from workloads import Job  # noqa: E402
 
 
@@ -59,3 +62,14 @@ def test_ellipse_points_job_with_fresh_reference():
     assert set(plain["points"]) == {"ux_free", "uy_free"}
     assert stages.ellipse_reference.cache_info().misses == 1
     assert "benchmarks.reference" in {span[0] for span in tracer.spans}
+
+
+def test_every_benchmark_job_matches_golden():
+    # the benchmark rejects a change whose outputs leave these tolerances
+    golden = checks.load_golden()
+    jobs = [job for w in workloads.WORKLOADS for job in workloads.all_jobs(w)]
+    assert len(jobs) == 172
+    assert sorted(job.id for job in jobs) == sorted(golden)
+    mismatches = {job.id: reason for job in jobs
+                  if (reason := checks.compare(stages.run_plain(job), golden[job.id]))}
+    assert not mismatches, mismatches

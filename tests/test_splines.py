@@ -73,6 +73,21 @@ class TestKnotVector:
         assert first[0] == first[1] == kv.n_basis - 3
 
 
+class TestCallerArrays:
+    def test_construction_leaves_caller_arrays_writable(self):
+        # the curve freezes copies of its arrays, not the caller's
+        knots = np.array([0, 0, 0, 0.5, 1, 1, 1.0])
+        points = np.array([[1.0, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 1.0]])
+        weights = np.array([1.0, 0.9, 0.9, 1.0])
+        curve = NurbsCurve(KnotVector(2, knots), points, weights)
+        for caller, own in [(knots, curve.knot_vector.knots),
+                            (points, curve.control_points), (weights, curve.weights)]:
+            assert caller.flags.writeable and not own.flags.writeable
+            before = own.copy()
+            caller *= 2.0
+            np.testing.assert_array_equal(own, before)
+
+
 class TestBsplineBasis:
     def test_bernstein_midpoint(self):
         kv = make_open_uniform_knot_vector(2, 1)
