@@ -3,9 +3,9 @@
 `perfbench/stages.py` calls casrod's public functions (and
 `solution_backward_error`, `point_errors`, `ellipse_reference.cache_clear`
 through the harness). A package change that breaks one of those imports or
-calls fails here in well under a second, and so does one that moves a job's
-outputs outside its stored tolerance in `golden.json`;
-`perfbench/selftest.py` covers the rest of the harness and takes much longer.
+calls, or that moves a job's outputs outside its stored tolerance in
+`golden.json`, fails here in about a second; `perfbench/selftest.py` covers
+the rest of the harness and takes much longer.
 """
 
 import sys
