@@ -5,13 +5,15 @@ upper band of `banded`, column-major, so LAPACK and BLAS read it without a
 copy. Element blocks sit on contiguous dof ranges (dof
 2B+i is the i-th Cartesian component of control variable B), so
 element-local formulations give half-bandwidth 2(p+1)-1 = 5; the dense
-global B-bar membrane matrix fills the band. Homogeneous constraints are
+global B-bar membrane matrix fills the band until its far entries underflow
+to zero (from 562 arch elements on at t = 0.01). Homogeneous constraints are
 imposed by row/column elimination on the band; a same-component tie between
 two control variables (needed for the zero-rotation condition at symmetry
 ends, where the end displacement itself stays free) is imposed by folding
 the slave dof into its master, which widens the band by the distance between
-the two dofs. The constrained system is solved by a banded Cholesky
-factorization.
+the two dofs. The elimination works in one new band-sized buffer, so a
+global B-bar solve holds at most two bands at a time. The constrained system
+is solved by a banded Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ __all__ = [
 
 _AXIS_ALIGN_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
+# Entries per block of a band compacted in place (`_compact`), 128 KiB: small
+# beside a dense band, while an element band of a few thousand columns is one.
+_BLOCK_ENTRIES = 2**14
 
 
 @dataclass
@@ -240,8 +245,11 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
 
     Works on the band in O(n * hb). Each tie widens the working band by the
     distance between its dofs (2 for the end ties); the reduced band is then
-    trimmed to its nonzero half-width. Chained ties fold each slave into the
-    end of its chain; a self-tie, a slave tied twice or a cycle is a ValueError.
+    trimmed to its nonzero half-width. The working band is the only new
+    band-sized buffer: the reduced and the trimmed band are compacted into it
+    in place, and the result is a view of it. `system` is left unchanged.
+    Chained ties fold each slave into the end of its chain; a self-tie, a
+    slave tied twice or a cycle is a ValueError.
     """
     n = len(system.f)
     f = system.f.copy()
@@ -283,9 +291,11 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
 
     free = (~removed).nonzero()[0]
     ab = _drop(padded, free)
-    top = next((r for r in range(len(ab) - 1) if ab[r].any()), len(ab) - 1)
-    return ConstrainedSystem(ab=np.asfortranarray(ab[top:]), f=f[free], free_dofs=free,
-                             slave_pairs=slave_pairs, n_full=n)
+    top = int(np.append(ab[:-1].any(axis=1), True).argmax())  # the first row to keep
+    if top:  # trim the all-zero far rows in place as well
+        ab = _compact(ab, (len(ab) - top, ab.shape[1]), lambda j0, j1: ab[top:, j0:j1])
+    return ConstrainedSystem(ab=ab, f=f[free], free_dofs=free, slave_pairs=slave_pairs,
+                             n_full=n)
 
 
 def _chain_end(masters: dict[int, int], dof: int) -> int:
@@ -325,27 +335,57 @@ def _fold(ab: np.ndarray, slave: int, master: int) -> None:
     right[:] = row[w:w + len(right)]
 
 
+def _compact(band: np.ndarray, shape: tuple[int, int], gather: Callable) -> np.ndarray:
+    """Write a column-major array of `shape` over the column-major `band`, from
+    its first entry on, one block of columns at a time, left to right, and
+    return it (a view of `band`).
+
+    gather(j0, j1) gives the new columns j0 ... j1 - 1 and may read any column
+    of `band` from j0 on: with at most as many rows as `band`, new column j
+    ends before old column j + 1 starts, so no write reaches a column still to
+    be read. gather may return a view of the block's own old columns: numpy
+    copies an overlapping source before it writes. A band with few rows is
+    one block.
+    """
+    rows, cols = shape
+    out = band.T.reshape(-1)[:rows * cols].reshape(shape, order="F")
+    step = max(1, _BLOCK_ENTRIES // rows)
+    for j0 in range(0, cols, step):
+        j1 = min(j0 + step, cols)
+        out[:, j0:j1] = gather(j0, j1)
+    return out
+
+
 def _drop(padded: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Band of K restricted to the rows and columns of the `free` dofs.
+    """Band of K restricted to the rows and columns of the `free` dofs, written
+    over `padded` in place (`_compact`).
 
     `padded` is a column-major band of half-width hb below one zero row. The
     result is column-major, of half-width w = min(hb, len(free) - 1): pairs
     farther apart lie outside the reduced matrix. Reduced entry (r, j) is
     K[free[j - w + r], free[j]], in band row hb - free[j] + free[j - w + r] of
-    column free[j]. The source dof depends on j only through j + r, so the
-    flat source indices are a strided view of one vector plus a column term:
-    one gather, whatever the removed dofs, made transposed, (j, r), which is
-    the column-major order of the result. A row below zero (a pair farther
-    apart than hb, or above the reduced matrix, marked -n) is clamped to the
-    zero row.
+    column free[j] >= j, so a block of reduced columns reads no earlier
+    column. The source dof depends on j only through j + r, so the flat source
+    indices of a block are a strided view of one vector plus a column term:
+    one gather per block, whatever the removed dofs, made transposed, (j, r),
+    which is the column-major order of the result. A row below zero (a pair
+    farther apart than hb, or above the reduced matrix, marked -n) is clamped
+    to the zero row.
     """
     hb, n = padded.shape[0] - 2, padded.shape[1]
     w = max(0, min(hb, len(free) - 1))
     ext = np.concatenate([np.full(w, -n), free])
     src = as_strided(ext, (len(free), w + 1), (ext.strides[0],) * 2)  # [j, r]: source dof
-    idx = np.maximum(src, (free - hb - 1)[:, None])
-    idx += ((hb + 1) * free + hb + 1)[:, None]  # (hb + 2) free[j] + 1 + its band row
-    return padded.T.reshape(-1).take(idx, mode="clip").T
+    low = (free - hb - 1)[:, None]
+    shift = ((hb + 1) * free + hb + 1)[:, None]  # (hb + 2) free[j] + 1 + its band row
+    flat = padded.T.reshape(-1)
+
+    def gather(j0: int, j1: int) -> np.ndarray:
+        idx = np.maximum(src[j0:j1], low[j0:j1])
+        idx += shift[j0:j1]
+        return flat.take(idx, mode="clip").T
+
+    return _compact(padded, (w + 1, len(free)), gather)
 
 
 def solve(constrained: ConstrainedSystem) -> ControlDisplacements:

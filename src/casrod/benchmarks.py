@@ -371,11 +371,15 @@ def ellipse_reference(t: float) -> Mapping[str, float]:
 
 def solve_problem(problem: BenchmarkProblem, formulation: ElementFormulation,
                   quad_points: int | None = None) -> RodSolution:
-    """Assemble, constrain, and solve one benchmark with one formulation."""
+    """Assemble, constrain, and solve one benchmark with one formulation.
+
+    The assembled system goes straight into `apply_constraints`, so its band
+    is freed before `solve` copies the constrained one for the factor.
+    """
     ops = PatchOperators(problem.curve, problem.section, formulation, quad_points)
-    system = assemble(problem.curve, problem.section, formulation, problem.loads,
-                      ops=ops)
-    constrained = apply_constraints(system, problem.constraints)
+    constrained = apply_constraints(
+        assemble(problem.curve, problem.section, formulation, problem.loads, ops=ops),
+        problem.constraints)
     displacements = solve(constrained)
     return RodSolution(
         curve=problem.curve,

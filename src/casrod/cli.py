@@ -15,7 +15,8 @@ exact-field errors are in e_u/e_N/e_M). Each row is one `l2_errors` report;
 a missing value (no exact field, no point error, a NaN sample) is an empty
 cell.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error (a mesh too large to allocate
+included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ class StudyError(Exception):
     subclass of the original error's type too, where that type allows it, so
     callers catching the original type still catch it.
     """
+
+    # not the original type's __str__, which may read attributes this never
+    # sets (numpy's MemoryError for a too-large array does)
+    __str__ = BaseException.__str__
 
     def __init__(self, message: str, problem: str, n_elements: int, slenderness: float):
         Exception.__init__(self, message)  # not the original type's constructor
@@ -232,7 +237,7 @@ def main(argv=None) -> int:
         if isinstance(original, _NUMERICAL_ERRORS):
             print(f"casrod: numerical failure: {exc}", file=sys.stderr)
             return 2
-        if isinstance(original, ValueError):
+        if isinstance(original, (ValueError, MemoryError)):  # bad or too large a request
             print(f"casrod: error: {exc}", file=sys.stderr)
             return 1
         raise

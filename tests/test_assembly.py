@@ -10,6 +10,7 @@ from casrod import (
     CrossSection,
     ElementFormulation,
     FixedDof,
+    GlobalSystem,
     LoadSpec,
     NurbsCurve,
     PatchOperators,
@@ -26,7 +27,7 @@ from casrod import (
     solve_problem,
     symmetry_end_constraints,
 )
-from casrod import banded, evaluate_geometry
+from casrod import assembly, banded, evaluate_geometry
 from casrod.assembly import (
     ConstrainedSystem,
     _band_backward_error,
@@ -582,6 +583,14 @@ def _dense_scatter(ops):
     return k
 
 
+def _peak_in(band_bytes, call):
+    """call()'s result and its traced peak above what is alive before it, in bands."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    out = call()
+    return out, (tracemalloc.get_traced_memory()[1] - before) / band_bytes
+
+
 def _dense_elimination(k, f, constraints):
     """Reference elimination on a dense matrix: fold ties, then drop rows/columns."""
     k, f = k.copy(), f.copy()
@@ -630,6 +639,19 @@ class TestBandStorage:
         np.testing.assert_array_equal(con.k, k_ref)
         np.testing.assert_array_equal(con.f, f_ref)
         assert con.n_dof == len(f_ref)
+
+    @pytest.mark.parametrize("make", BAND_PROBLEMS, ids=["ring", "arch", "ellipse"])
+    def test_in_place_compaction_does_not_depend_on_its_blocks(self, make, monkeypatch):
+        # one column per block puts every write right next to the columns
+        # still to be read; the band must come out the same
+        problem = make()
+        for form in ElementFormulation:
+            system = assemble(problem.curve, problem.section, form, problem.loads)
+            want = apply_constraints(system, problem.constraints)
+            with monkeypatch.context() as patch:
+                patch.setattr(assembly, "_BLOCK_ENTRIES", 1)
+                got = apply_constraints(system, problem.constraints)
+            assert got.ab.shape == want.ab.shape and got.ab.tobytes() == want.ab.tobytes()
 
     def test_far_and_chained_ties_equal_dense_elimination(self):
         # ties more than two dofs apart and a tie onto an already folded master
@@ -685,31 +707,71 @@ class TestBandStorage:
         con = apply_constraints(system, problem.constraints)
         assert system.ab.flags.f_contiguous and con.ab.flags.f_contiguous
 
+    @pytest.mark.parametrize("form", list(ElementFormulation), ids=lambda f: f.value)
+    @pytest.mark.parametrize("make", BAND_PROBLEMS[:2], ids=["ring", "arch"])
+    def test_constraints_leave_the_input_alone(self, make, form):
+        # the constrained band is compacted in place, inside a working copy:
+        # the assembled system keeps its bytes and shares no memory with it
+        problem = make()
+        system = assemble(problem.curve, problem.section, form, problem.loads)
+        ab, f = system.ab.tobytes(), system.f.tobytes()
+        con = apply_constraints(system, problem.constraints)
+        assert system.ab.tobytes() == ab and system.f.tobytes() == f
+        assert not np.shares_memory(con.ab, system.ab)
+        assert not np.shares_memory(con.f, system.f)
+
     def test_global_bbar_peak_memory_in_bands(self):
         # peak of each call above what is alive before it, in units of one
         # n x n band: the output band plus one buffer of Z = M^-1 G in
-        # assembly, one copy for the factor in the solve
+        # assembly, one working band in the constraint step, one copy for the
+        # factor in the solve. solve_problem frees the assembled band before
+        # the solve, so it holds two bands at most.
         problem = build_arch_half(256, 0.01)
         form = ElementFormulation.GLOBAL_BBAR
         ops = PatchOperators(problem.curve, problem.section, form)
         band_bytes = 8.0 * (2 * ops.curve.n_basis) ** 2
 
-        def peak_of(call):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out = call()
-            return out, (tracemalloc.get_traced_memory()[1] - before) / band_bytes
-
         tracemalloc.start()
         try:
-            system, assemble_peak = peak_of(
-                lambda: assemble(problem.curve, problem.section, form, problem.loads, ops=ops))
-            con = apply_constraints(system, problem.constraints)
-            _, solve_peak = peak_of(lambda: solve(con))
+            system, assemble_peak = _peak_in(band_bytes, lambda: assemble(
+                problem.curve, problem.section, form, problem.loads, ops=ops))
+            con, constrain_peak = _peak_in(
+                band_bytes, lambda: apply_constraints(system, problem.constraints))
+            _, solve_peak = _peak_in(band_bytes, lambda: solve(con))
+            del system, con
+            _, solve_problem_peak = _peak_in(band_bytes, lambda: solve_problem(problem, form))
         finally:
             tracemalloc.stop()
         assert assemble_peak <= 3.0, assemble_peak
+        assert constrain_peak <= 1.2, constrain_peak
         assert solve_peak <= 1.1, solve_peak
+        assert solve_problem_peak <= 2.3, solve_problem_peak
+
+    def test_wide_band_with_zero_far_rows_is_trimmed_in_place(self):
+        # a dense band whose far rows are exactly zero, as global B-bar's are
+        # once its far membrane entries underflow: the reduced band is
+        # trimmed to its nonzero half-width inside the working band
+        n, reach = 600, 400
+        rng = np.random.default_rng(5)
+        ab = np.zeros((n, n), order="F")
+        for r in range(reach + 1):
+            ab[n - 1 - r, r:] = rng.standard_normal(n - r)  # K[i, i + r]
+        system = GlobalSystem(ab=ab, f=rng.standard_normal(n))
+        cons = [FixedDof(0, 0), FixedDof(0, 1), TieDof(2, 1, 0), FixedDof(150, 1),
+                FixedDof(n // 2 - 1, 0), TieDof(n // 2 - 2, n // 2 - 1, 1)]
+
+        tracemalloc.start()
+        try:
+            con, peak = _peak_in(8.0 * n**2, lambda: apply_constraints(system, cons))
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2, peak
+        k_ref, f_ref = _dense_elimination(system.k, system.f, cons)
+        np.testing.assert_array_equal(con.k, k_ref)
+        np.testing.assert_array_equal(con.f, f_ref)
+        offsets = np.abs(np.subtract.outer(np.arange(con.n_dof), np.arange(con.n_dof)))
+        assert con.half_bandwidth == offsets[k_ref != 0].max() < con.n_dof - 1
+        assert con.ab.flags.f_contiguous
 
     def test_solve_peak_memory_below_8_mib(self):
         # the band, the patch operators and the load vector at 2048 arch

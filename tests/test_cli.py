@@ -211,6 +211,24 @@ class TestMainEntry:
         assert main(["converge", "--problem", "ring", "--formulation", "cas",
                      "--slenderness", "1e4", "--refinements", "0"]) == 1
 
+    def test_mesh_too_large_to_allocate_is_a_one_line_error(self, capsys):
+        # 2**50 elements need more memory than any address space holds, so the
+        # first array fails at once; numpy's MemoryError once made the study
+        # error's message unprintable and escaped main with a traceback
+        from casrod import cli
+
+        elements = str(2**50)
+        with pytest.raises(MemoryError) as info:
+            cli.convergence_records(ring_config(start_elements=2**50, refinements=0))
+        assert str(info.value).startswith(f"ring at {elements} elements, slenderness 10000: ")
+        assert main(["converge", "--problem", "ring", "--formulation", "cas",
+                     "--slenderness", "1e6", "--start-elements", elements,
+                     "--refinements", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"casrod: error: ring at {elements} elements, slenderness 1e+06: "
+                              "Unable to allocate ")
+        assert err.count("\n") == 1
+
     def test_unsubclassable_error_mapped_by_original_type(self, monkeypatch, capsys):
         from casrod import cli
         from casrod.errors import SingularSystemError
