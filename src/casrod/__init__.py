@@ -35,7 +35,6 @@ from .formulations import (
     PatchOperators,
 )
 from .metrics import (
-    ConvergenceRecord,
     ErrorReport,
     convergence_rate,
     displacement_at,

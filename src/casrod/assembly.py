@@ -247,7 +247,8 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
     distance between its dofs (2 for the end ties); the reduced band is then
     trimmed to its nonzero half-width. The working band is the only new
     band-sized buffer: the reduced and the trimmed band are compacted into it
-    in place, and the result is a view of it. `system` is left unchanged.
+    in place, and it is then shrunk to the result, so the constrained band
+    owns exactly its own bytes. `system` is left unchanged.
     Chained ties fold each slave into the end of its chain; a self-tie, a
     slave tied twice or a cycle is a ValueError.
     """
@@ -281,7 +282,8 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
             raise TypeError(f"unsupported constraint type: {type(c).__name__}")
 
     hb = min(system.half_bandwidth + sum(abs(m - s) for s, m in slave_pairs), n - 1)
-    padded = np.zeros((hb + 2, n), order="F")  # the working band below one zero row
+    buf = np.zeros((hb + 2) * n)
+    padded = buf.reshape((hb + 2, n), order="F")  # the working band below one zero row
     ab = padded[1:]
     ab[hb - system.half_bandwidth:] = system.ab
     for slave, master in slave_pairs:
@@ -290,12 +292,11 @@ def apply_constraints(system: GlobalSystem, constraints: list) -> ConstrainedSys
         removed[slave] = True
 
     free = (~removed).nonzero()[0]
-    ab = _drop(padded, free)
-    top = int(np.append(ab[:-1].any(axis=1), True).argmax())  # the first row to keep
-    if top:  # trim the all-zero far rows in place as well
-        ab = _compact(ab, (len(ab) - top, ab.shape[1]), lambda j0, j1: ab[top:, j0:j1])
-    return ConstrainedSystem(ab=ab, f=f[free], free_dofs=free, slave_pairs=slave_pairs,
-                             n_full=n)
+    rows, cols = _trim(_drop(padded, free))
+    del padded, ab  # no view of buf may outlive the resize, which frees its tail
+    buf.resize(rows * cols, refcheck=False)
+    return ConstrainedSystem(ab=buf.reshape((rows, cols), order="F"), f=f[free],
+                             free_dofs=free, slave_pairs=slave_pairs, n_full=n)
 
 
 def _chain_end(masters: dict[int, int], dof: int) -> int:
@@ -354,6 +355,15 @@ def _compact(band: np.ndarray, shape: tuple[int, int], gather: Callable) -> np.n
         j1 = min(j0 + step, cols)
         out[:, j0:j1] = gather(j0, j1)
     return out
+
+
+def _trim(ab: np.ndarray) -> tuple[int, int]:
+    """Compact the band `ab` in place (`_compact`) without its all-zero far
+    rows; return the shape of the result."""
+    top = int(np.append(ab[:-1].any(axis=1), True).argmax())  # the first row to keep
+    if top:
+        _compact(ab, (len(ab) - top, ab.shape[1]), lambda j0, j1: ab[top:, j0:j1])
+    return len(ab) - top, ab.shape[1]
 
 
 def _drop(padded: np.ndarray, free: np.ndarray) -> np.ndarray:

@@ -15,8 +15,10 @@ exact-field errors are in e_u/e_N/e_M). Each row is one `l2_errors` report;
 a missing value (no exact field, no point error, a NaN sample) is an empty
 cell.
 
-Exit codes: 0 success, 1 usage error (a mesh too large to allocate
-included), 2 numerical failure.
+A mesh that fails to build or solve raises StudyError, whose message names
+the problem, the element count and the slenderness, with the original error
+as `__cause__`. Exit codes, by the original error's type: 0 success, 1 usage
+error (a mesh too large to allocate included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import (
-    BenchmarkProblem,
     build_arch_half,
     build_ellipse_quarter,
     build_ring_quarter,
@@ -37,54 +38,38 @@ from .benchmarks import (
 )
 from .errors import DegenerateParametrizationError, SingularSystemError
 from .formulations import ElementFormulation
-from .metrics import FIELD_COLUMNS, ConvergenceRecord, l2_errors, sample_fields
+from .metrics import FIELD_COLUMNS, l2_errors, sample_fields
 
-__all__ = ["RunConfig", "StudyError", "convergence_records", "run_convergence_study",
-           "run_field_dump", "main", "CONVERGE_HEADER", "FIELDS_HEADER"]
+__all__ = ["RunConfig", "StudyError", "run_convergence_study", "run_field_dump", "main",
+           "CONVERGE_HEADER", "FIELDS_HEADER"]
 
 CONVERGE_HEADER = ("problem,formulation,quad_points,n_elements,n_dof,"
                    "slenderness,e_u,e_N,e_M,err_uxA,err_uyB")
 FIELDS_HEADER = ",".join(FIELD_COLUMNS)
 
-# which point-error labels feed the err_uxA / err_uyB columns
-_POINT_COLUMNS = {
-    "ring": ("uxA", "uyB"),
-    "arch": (None, None),
-    "ellipse": ("ux_free", "uy_free"),
+# each problem's builder (n_elements, slenderness) and the point-error labels
+# that feed the err_uxA / err_uyB columns
+_PROBLEMS = {
+    "ring": (lambda n, s: build_ring_quarter(n, ea=s), ("uxA", "uyB")),
+    "arch": (lambda n, s: build_arch_half(n, t=s), (None, None)),
+    "ellipse": (lambda n, s: build_ellipse_quarter(n, t=s, with_reference_checks=True),
+                ("ux_free", "uy_free")),
 }
 
-PROBLEMS = tuple(_POINT_COLUMNS)
+PROBLEMS = tuple(_PROBLEMS)
 
 _NUMERICAL_ERRORS = (SingularSystemError, DegenerateParametrizationError)
 
 
 class StudyError(Exception):
-    """A mesh of a convergence study failed; the original error is `__cause__`.
-
-    The message and the attributes name the failing mesh. Raised as a
-    subclass of the original error's type too, where that type allows it, so
-    callers catching the original type still catch it.
-    """
-
-    # not the original type's __str__, which may read attributes this never
-    # sets (numpy's MemoryError for a too-large array does)
-    __str__ = BaseException.__str__
+    """A mesh of a study failed: the message and the attributes name it, and
+    the original error is `__cause__`."""
 
     def __init__(self, message: str, problem: str, n_elements: int, slenderness: float):
-        Exception.__init__(self, message)  # not the original type's constructor
+        super().__init__(message)
         self.problem = problem
         self.n_elements = n_elements
         self.slenderness = slenderness
-
-
-def _study_error(exc: Exception, problem: str, n_elements: int,
-                 slenderness: float) -> StudyError:
-    context = (f"{problem} at {n_elements} elements, slenderness {slenderness:g}: {exc}",
-               problem, n_elements, slenderness)
-    try:
-        return type(type(exc).__name__, (StudyError, type(exc)), {})(*context)
-    except TypeError:  # a type that cannot be subclassed or built this way
-        return StudyError(*context)
 
 
 @dataclass
@@ -114,51 +99,36 @@ class RunConfig:
             raise ValueError("slenderness values must be positive and finite")
 
 
-def _build(problem: str, n_elements: int, slenderness: float) -> BenchmarkProblem:
-    if problem == "ring":
-        return build_ring_quarter(n_elements, ea=slenderness)
-    if problem == "arch":
-        return build_arch_half(n_elements, t=slenderness)
-    return build_ellipse_quarter(n_elements, t=slenderness, with_reference_checks=True)
-
-
 def _fmt(value) -> str:
     return "" if value is None or np.isnan(value) else f"{value:.10e}"
 
 
-def convergence_records(config: RunConfig) -> tuple[list[ConvergenceRecord], int]:
-    """Solve the mesh sequence for every slenderness value of the config."""
-    meshes = [config.start_elements * 2**k for k in range(config.refinements + 1)]
-    records = []
-    quad_points = None
-    for slenderness in config.slenderness:
-        for n_elements in meshes:
-            try:
-                problem = _build(config.problem, n_elements, slenderness)
-                solution = solve_problem(problem, config.formulation,
-                                         config.quad_points)
-                report = l2_errors(problem, solution)
-            except Exception as exc:
-                raise _study_error(exc, config.problem, n_elements, slenderness) from exc
-            quad_points = solution.quad_points
-            records.append(ConvergenceRecord(n_elements=n_elements,
-                                             n_dof=solution.n_dof,
-                                             slenderness=slenderness,
-                                             report=report))
-    return records, quad_points
+def _solve(config: RunConfig, n_elements: int, slenderness: float):
+    """Build and solve one mesh of the config; return (problem, solution).
+    Any error is raised again as a StudyError that names the mesh."""
+    try:
+        problem = _PROBLEMS[config.problem][0](n_elements, slenderness)
+        return problem, solve_problem(problem, config.formulation, config.quad_points)
+    except Exception as exc:
+        raise StudyError(f"{config.problem} at {n_elements} elements, "
+                         f"slenderness {slenderness:g}: {exc}",
+                         config.problem, n_elements, slenderness) from exc
 
 
 def run_convergence_study(config: RunConfig) -> str:
     """Run the mesh sequence for every slenderness value; return CSV text."""
-    records, quad_points = convergence_records(config)
-    col_a, col_b = _POINT_COLUMNS[config.problem]
+    col_a, col_b = _PROBLEMS[config.problem][1]
     lines = [CONVERGE_HEADER]
-    for rec in records:
-        r = rec.report
-        errors = (r.e_u, r.e_n, r.e_m, r.point_errors.get(col_a), r.point_errors.get(col_b))
-        lines.append(",".join([config.problem, config.formulation.value, str(quad_points),
-                               str(rec.n_elements), str(rec.n_dof), f"{rec.slenderness:g}",
-                               *map(_fmt, errors)]))
+    for slenderness in config.slenderness:
+        for k in range(config.refinements + 1):
+            n_elements = config.start_elements * 2**k
+            problem, solution = _solve(config, n_elements, slenderness)
+            r = l2_errors(problem, solution)
+            errors = (r.e_u, r.e_n, r.e_m, r.point_errors.get(col_a), r.point_errors.get(col_b))
+            lines.append(",".join([config.problem, config.formulation.value,
+                                   str(solution.quad_points), str(n_elements),
+                                   str(solution.n_dof), f"{slenderness:g}",
+                                   *map(_fmt, errors)]))
     return "\n".join(lines) + "\n"
 
 
@@ -169,8 +139,7 @@ def run_field_dump(config: RunConfig) -> str:
     if len(config.slenderness) != 1:
         raise ValueError("fields takes exactly one slenderness value")
     slenderness = config.slenderness[0]
-    problem = _build(config.problem, config.elements, slenderness)
-    solution = solve_problem(problem, config.formulation, config.quad_points)
+    problem, solution = _solve(config, config.elements, slenderness)
     rows = sample_fields(problem, solution, config.samples)
     lines = [FIELDS_HEADER]
     for row in rows:

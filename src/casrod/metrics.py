@@ -23,7 +23,6 @@ from .splines import combine, nurbs_basis_many
 
 __all__ = [
     "ErrorReport",
-    "ConvergenceRecord",
     "l2_errors",
     "point_errors",
     "sample_fields",
@@ -46,16 +45,6 @@ class ErrorReport:
     e_n: float | None
     e_m: float | None
     point_errors: dict[str, float]
-
-
-@dataclass
-class ConvergenceRecord:
-    """One mesh of a convergence study."""
-
-    n_elements: int
-    n_dof: int
-    slenderness: float
-    report: ErrorReport
 
 
 def displacement_at(solution: RodSolution, xi) -> np.ndarray:

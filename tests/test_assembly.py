@@ -750,7 +750,8 @@ class TestBandStorage:
     def test_wide_band_with_zero_far_rows_is_trimmed_in_place(self):
         # a dense band whose far rows are exactly zero, as global B-bar's are
         # once its far membrane entries underflow: the reduced band is
-        # trimmed to its nonzero half-width inside the working band
+        # trimmed to its nonzero half-width inside the working band, which is
+        # then shrunk to the trimmed band
         n, reach = 600, 400
         rng = np.random.default_rng(5)
         ab = np.zeros((n, n), order="F")
@@ -772,6 +773,7 @@ class TestBandStorage:
         offsets = np.abs(np.subtract.outer(np.arange(con.n_dof), np.arange(con.n_dof)))
         assert con.half_bandwidth == offsets[k_ref != 0].max() < con.n_dof - 1
         assert con.ab.flags.f_contiguous
+        assert con.ab.base.nbytes == con.ab.nbytes  # the working band's tail is freed
 
     def test_solve_peak_memory_below_8_mib(self):
         # the band, the patch operators and the load vector at 2048 arch

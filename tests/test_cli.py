@@ -2,7 +2,15 @@
 
 import pytest
 
-from casrod import ElementFormulation, ellipse_reference
+from casrod import (
+    ElementFormulation,
+    build_arch_half,
+    build_ellipse_quarter,
+    build_ring_quarter,
+    ellipse_reference,
+    l2_errors,
+    solve_problem,
+)
 from casrod.cli import (
     CONVERGE_HEADER,
     FIELDS_HEADER,
@@ -60,6 +68,30 @@ class TestConvergeCommand:
         cells = text.strip().splitlines()[1].split(",")
         n_el = int(cells[3])
         assert int(cells[4]) == 2 * (n_el + 2) - 4
+
+    @pytest.mark.parametrize("problem, slenderness, points", [
+        ("ring", 1e6, ("uxA", "uyB")),
+        ("arch", 0.01, (None, None)),
+        ("ellipse", 0.004, ("ux_free", "uy_free")),
+    ])
+    def test_row_cells_match_library_values(self, problem, slenderness, points):
+        # every cell of a row is the formatted value of solve_problem + l2_errors
+        build = {"ring": lambda: build_ring_quarter(4, ea=slenderness),
+                 "arch": lambda: build_arch_half(4, t=slenderness),
+                 "ellipse": lambda: build_ellipse_quarter(4, t=slenderness,
+                                                          with_reference_checks=True)}[problem]
+        bench = build()
+        solution = solve_problem(bench, ElementFormulation.LOCAL_BBAR)
+        report = l2_errors(bench, solution)
+        errors = (report.e_u, report.e_n, report.e_m,
+                  *(report.point_errors[p] if p else None for p in points))
+        expected = [problem, "local-bbar", str(solution.quad_points), "4", str(solution.n_dof),
+                    f"{slenderness:g}", *("" if e is None else f"{e:.10e}" for e in errors)]
+        config = RunConfig(problem=problem, formulation=ElementFormulation.LOCAL_BBAR,
+                           slenderness=(slenderness,), start_elements=4, refinements=0)
+        rows = run_convergence_study(config).splitlines()
+        assert len(rows) == 2
+        assert rows[1].split(",") == expected
 
     def test_arch_point_columns_empty(self):
         config = RunConfig(problem="arch", formulation=ElementFormulation.CAS,
@@ -177,7 +209,8 @@ class TestMainEntry:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_study_failure_carries_context(self, monkeypatch):
-        # partial failures abort with the problem and mesh in the message
+        # partial failures abort with the problem and mesh in the message and
+        # the attributes, and the original error chained as the cause
         from casrod import cli
         from casrod.errors import SingularSystemError
 
@@ -185,12 +218,17 @@ class TestMainEntry:
             raise SingularSystemError("factorization failed")
 
         monkeypatch.setattr(cli, "solve_problem", boom)
-        with pytest.raises(SingularSystemError, match="ring at 2 elements"):
-            cli.convergence_records(ring_config(refinements=0))
+        with pytest.raises(cli.StudyError, match="ring at 2 elements") as info:
+            run_convergence_study(ring_config(refinements=0))
+        err = info.value
+        assert type(err) is cli.StudyError
+        assert str(err) == "ring at 2 elements, slenderness 10000: factorization failed"
+        assert isinstance(err.__cause__, SingularSystemError)
+        assert (err.problem, err.n_elements, err.slenderness) == ("ring", 2, 1e4)
 
     def test_study_failure_keeps_foreign_error(self, monkeypatch):
-        # an error type whose constructor takes two arguments cannot be
-        # rebuilt from one message; the study error chains it instead
+        # an error type whose constructor takes two arguments is chained as
+        # it is, and main maps it by its own type
         from casrod import cli
 
         class TwoArgError(ValueError):
@@ -202,10 +240,9 @@ class TestMainEntry:
             raise TwoArgError(7, "bad mesh")
 
         monkeypatch.setattr(cli, "solve_problem", boom)
-        with pytest.raises(TwoArgError, match="ring at 2 elements.*7: bad mesh") as info:
-            cli.convergence_records(ring_config(refinements=0))
+        with pytest.raises(cli.StudyError, match="ring at 2 elements.*7: bad mesh") as info:
+            run_convergence_study(ring_config(refinements=0))
         err = info.value
-        assert isinstance(err, cli.StudyError)
         assert isinstance(err.__cause__, TwoArgError) and err.__cause__.code == 7
         assert (err.problem, err.n_elements, err.slenderness) == ("ring", 2, 1e4)
         assert main(["converge", "--problem", "ring", "--formulation", "cas",
@@ -218,8 +255,9 @@ class TestMainEntry:
         from casrod import cli
 
         elements = str(2**50)
-        with pytest.raises(MemoryError) as info:
-            cli.convergence_records(ring_config(start_elements=2**50, refinements=0))
+        with pytest.raises(cli.StudyError) as info:
+            run_convergence_study(ring_config(start_elements=2**50, refinements=0))
+        assert isinstance(info.value.__cause__, MemoryError)
         assert str(info.value).startswith(f"ring at {elements} elements, slenderness 10000: ")
         assert main(["converge", "--problem", "ring", "--formulation", "cas",
                      "--slenderness", "1e6", "--start-elements", elements,
@@ -242,12 +280,29 @@ class TestMainEntry:
 
         monkeypatch.setattr(cli, "solve_problem", boom)
         with pytest.raises(cli.StudyError, match="ring at 2 elements") as info:
-            cli.convergence_records(ring_config(refinements=0))
-        assert type(info.value) is cli.StudyError
+            run_convergence_study(ring_config(refinements=0))
         assert isinstance(info.value.__cause__, SealedError)
         assert main(["converge", "--problem", "ring", "--formulation", "cas",
                      "--slenderness", "1e4", "--refinements", "0"]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_fields_failure_names_the_mesh(self, monkeypatch, capsys):
+        from casrod import cli
+        from casrod.errors import SingularSystemError
+
+        def boom(problem, formulation, quad_points=None):
+            raise SingularSystemError("factorization failed")
+
+        monkeypatch.setattr(cli, "solve_problem", boom)
+        with pytest.raises(cli.StudyError, match="ring at 8 elements") as info:
+            run_field_dump(ring_config(elements=8))
+        err = info.value
+        assert isinstance(err.__cause__, SingularSystemError)
+        assert (err.problem, err.n_elements, err.slenderness) == ("ring", 8, 1e4)
+        assert main(["fields", "--problem", "ring", "--formulation", "cas",
+                     "--slenderness", "1e4", "--elements", "8"]) == 2
+        assert capsys.readouterr().err == ("casrod: numerical failure: ring at 8 elements, "
+                                           "slenderness 10000: factorization failed\n")
 
     @pytest.mark.parametrize("command", ["converge", "fields"])
     @pytest.mark.parametrize("problem, value", [
