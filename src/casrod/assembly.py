@@ -359,8 +359,12 @@ def _compact(band: np.ndarray, shape: tuple[int, int], gather: Callable) -> np.n
 
 def _trim(ab: np.ndarray) -> tuple[int, int]:
     """Compact the band `ab` in place (`_compact`) without its all-zero far
-    rows; return the shape of the result."""
-    top = int(np.append(ab[:-1].any(axis=1), True).argmax())  # the first row to keep
+    rows; return the shape of the result. The scan goes row by row from the
+    top and stops at the first nonzero row: `any(axis=1)` on a column-major
+    band runs one inner loop per column, over every row."""
+    top = 0  # the first row to keep: the first nonzero one, else the diagonal
+    while top < len(ab) - 1 and not ab[top].any():
+        top += 1
     if top:
         _compact(ab, (len(ab) - top, ab.shape[1]), lambda j0, j1: ab[top:, j0:j1])
     return len(ab) - top, ab.shape[1]

@@ -18,9 +18,11 @@ including signs) to be reproduced by the discretization:
   reference displacements are a unit-load (virtual-work) integral of them;
   see `ellipse_reference`. No exact fields are attached.
 
-Every mesh is built in one closed-form step from the single rational
-quadratic Bezier segment of its conic (see `_refine_to`), so the geometry
-stays the exact circle or ellipse. The problem callables are array callables:
+One constructor, `_problem`, builds all three: it refines the single rational
+quadratic Bezier segment of the conic in one closed-form step (see
+`_refine_to`), so the geometry stays the exact circle or ellipse. Each
+builder makes its `CrossSection` first, which rejects a slenderness whose EA
+or EI is not positive and finite. The problem callables are array callables:
 `angle_map` and the arch's distributed load take curve positions x, so no
 problem evaluates its curve; see `BenchmarkProblem` and `LoadSpec`.
 """
@@ -168,6 +170,19 @@ def _refine_to(base: NurbsCurve, n_elements: int) -> NurbsCurve:
     return NurbsCurve(KnotVector(2, knots), pw[:, :2] / pw[:, 2:], pw[:, 2])
 
 
+def _problem(name: str, base: NurbsCurve, n_elements: int, slenderness: float,
+             section: CrossSection, loads: LoadSpec, ends, angle_map,
+             point_checks=(), **exact) -> BenchmarkProblem:
+    """The benchmark on `base` refined to n elements. `ends` holds the
+    constraint builders of the start and the end, None for a free end;
+    `exact` holds the problem's exact_* fields."""
+    curve = _refine_to(base, n_elements)
+    constraints = [c for end, make in zip(("start", "end"), ends) if make
+                   for c in make(curve, end)]
+    return BenchmarkProblem(name, curve, section, loads, constraints, angle_map,
+                            slenderness, point_checks=list(point_checks), **exact)
+
+
 def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
     """Pinched circular ring, quarter model (P = R = EI = 1).
 
@@ -175,15 +190,8 @@ def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
     along x, acts at A = (R, 0). The section thickness entering the exact
     point values is estimated as t = sqrt(EI/EA).
     """
-    if not 0.0 < ea < math.inf:
-        raise ValueError(f"EA must be positive and finite, got {ea}")
     p_load, radius, ei = 1.0, _RING_RADIUS, 1.0
-    curve = _refine_to(_RING_BASE, n_elements)
     section = CrossSection(ea=ea, ei=ei)
-    loads = LoadSpec(point_loads=[("start", np.array([-p_load / 2, 0.0]))])
-    constraints = (symmetry_end_constraints(curve, "start")
-                   + symmetry_end_constraints(curve, "end"))
-
     t_over_r_sq = ei / (ea * radius**2)
     scale = p_load * radius**3 / ei
     u_xa = -scale * ((math.pi**2 - 8) / (8 * math.pi) + (math.pi / 8) * t_over_r_sq)
@@ -198,30 +206,22 @@ def build_ring_quarter(n_elements: int, ea: float) -> BenchmarkProblem:
     def exact_m(phi):
         return (p_load * radius / 2) * (2 / math.pi - np.cos(phi))
 
-    return BenchmarkProblem(
-        name="ring",
-        curve=curve,
-        section=section,
-        loads=loads,
-        constraints=constraints,
-        angle_map=angle_map,
-        slenderness=ea,
-        exact_n=exact_n,
-        exact_m=exact_m,
-        point_checks=[
-            PointCheck("uxA", 0.0, (1.0, 0.0), u_xa),
-            PointCheck("uyB", 1.0, (0.0, 1.0), u_yb),
-        ],
-    )
+    return _problem("ring", _RING_BASE, n_elements, ea, section,
+                    LoadSpec(point_loads=[("start", np.array([-p_load / 2, 0.0]))]),
+                    (symmetry_end_constraints, symmetry_end_constraints), angle_map,
+                    [PointCheck("uxA", 0.0, (1.0, 0.0), u_xa),
+                     PointCheck("uyB", 1.0, (0.0, 1.0), u_yb)],
+                    exact_n=exact_n, exact_m=exact_m)
 
 
 def _arch_exact(t: float):
-    """Closed-form semicircular-arch solution callbacks and parameters."""
+    """The semicircular arch's section and closed-form solution callbacks:
+    (section, exact_u, exact_n, exact_m, params)."""
     radius, young, width = _ARCH_RADIUS, 2.1e11, 0.1
     q = 1e6 * t**3
     ea = young * t * width
     ei = young * t**3 * width / 12.0
-    CrossSection(ea, ei)  # rejects a t whose EA or EI is not positive and finite
+    section = CrossSection(ea, ei)  # rejects a t whose EA or EI is not positive and finite
     c1 = 0.5 * (radius / ea + radius**3 / ei)
     c2 = radius**3 / ei
     c3 = radius**2 / ei
@@ -232,28 +232,18 @@ def _arch_exact(t: float):
           / (6 * math.pi**3 * (c1 / radius) - 24 * math.pi * c3))
     a3 = -2 * q * radius * (c1 - c2) / 3 - 3 * q * radius**2 * c3 / 4
 
-    def _trig(phi):  # all the trigonometry of u, evaluated once per exact_u call
-        return np.sin(phi), np.cos(phi), np.sin(2 * phi), np.cos(2 * phi)
-
-    def u_tangential(phi, trig=None):
-        sin, cos, sin2, _ = _trig(phi) if trig is None else trig
-        return (a1 * (c1 * phi * sin - c3 * radius * (1 - cos))
-                - a2 * c3 * (phi - sin) + a3 * sin
-                - q * radius * (sin2 * (2 / 3 * c1 - c2 / 6 - c3 * radius / 8)
-                                - phi * c3 * radius / 2))
-
-    def u_normal(phi, trig=None):
-        sin, cos, _, cos2 = _trig(phi) if trig is None else trig
-        return (a1 * (c1 * (phi * cos - sin)
-                      + c2 * sin - c3 * radius * sin)
-                - a2 * c3 * (1 - cos) + a3 * cos
-                + q * radius * (c1 - c2 / 2 + c3 * radius / 2
-                                - cos2 * (c1 / 3 + c2 / 6 - c3 * radius / 4)))
-
-    def exact_u(phi):
-        trig = sin, cos, _, _ = _trig(phi)
-        ut, un = u_tangential(phi, trig), u_normal(phi, trig)
-        return np.stack([ut * sin + un * cos, ut * cos - un * sin], axis=-1)
+    def exact_u(phi):  # the tangential and normal components, rotated to (ux, uy)
+        sin, cos = np.sin(phi), np.cos(phi)
+        u_t = (a1 * (c1 * phi * sin - c3 * radius * (1 - cos))
+               - a2 * c3 * (phi - sin) + a3 * sin
+               - q * radius * (np.sin(2 * phi) * (2 / 3 * c1 - c2 / 6 - c3 * radius / 8)
+                               - phi * c3 * radius / 2))
+        u_n = (a1 * (c1 * (phi * cos - sin)
+                     + c2 * sin - c3 * radius * sin)
+               - a2 * c3 * (1 - cos) + a3 * cos
+               + q * radius * (c1 - c2 / 2 + c3 * radius / 2
+                               - np.cos(2 * phi) * (c1 / 3 + c2 / 6 - c3 * radius / 4)))
+        return np.stack([u_t * sin + u_n * cos, u_t * cos - u_n * sin], axis=-1)
 
     def exact_n(phi):
         return a1 * np.sin(phi) - q * radius * np.cos(phi)**2
@@ -263,44 +253,26 @@ def _arch_exact(t: float):
 
     params = dict(radius=radius, q=q, ea=ea, ei=ei, c1=c1, c2=c2, c3=c3,
                   a1=a1, a2=a2, a3=a3)
-    return u_tangential, u_normal, exact_u, exact_n, exact_m, params
+    return section, exact_u, exact_n, exact_m, params
 
 
 def build_arch_half(n_elements: int, t: float) -> BenchmarkProblem:
     """Clamped-clamped semicircular arch under q per unit horizontal length,
     half model: clamped base at (-R, 0), symmetry at the crown (0, R)."""
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"thickness must be positive and finite, got {t}")
-    _, _, exact_u, exact_n, exact_m, params = _arch_exact(t)
+    section, exact_u, exact_n, exact_m, params = _arch_exact(t)
     radius, q = params["radius"], params["q"]
-    curve = _refine_to(_ARCH_BASE, n_elements)
-    section = CrossSection(ea=params["ea"], ei=params["ei"])
 
     def distributed(x):
         y = np.asarray(x, dtype=float)[..., 1]
         return np.stack([np.zeros_like(y), -q * y / radius], axis=-1)
 
-    loads = LoadSpec(distributed=distributed)
-    constraints = (clamped_end_constraints(curve, "start")
-                   + symmetry_end_constraints(curve, "end"))
-
     def angle_map(x):
         return np.arctan2(x[..., 1], -x[..., 0])
 
-    crown_uy = float(exact_u(math.pi / 2)[1])
-    return BenchmarkProblem(
-        name="arch",
-        curve=curve,
-        section=section,
-        loads=loads,
-        constraints=constraints,
-        angle_map=angle_map,
-        slenderness=t,
-        exact_u=exact_u,
-        exact_n=exact_n,
-        exact_m=exact_m,
-        point_checks=[PointCheck("uyC", 1.0, (0.0, 1.0), crown_uy)],
-    )
+    return _problem("arch", _ARCH_BASE, n_elements, t, section, LoadSpec(distributed=distributed),
+                    (clamped_end_constraints, symmetry_end_constraints), angle_map,
+                    [PointCheck("uyC", 1.0, (0.0, 1.0), float(exact_u(math.pi / 2)[1]))],
+                    exact_u=exact_u, exact_n=exact_n, exact_m=exact_m)
 
 
 def build_ellipse_quarter(n_elements: int, t: float,
@@ -311,33 +283,21 @@ def build_ellipse_quarter(n_elements: int, t: float,
     Passing with_reference_checks=True attaches free-end point checks against
     `ellipse_reference` (computed once per thickness and cached).
     """
-    if not 0.0 < t < math.inf:
-        raise ValueError(f"thickness must be positive and finite, got {t}")
     a_ax, b_ax = _ELLIPSE_AXES
-    p_load = 1e7 * t**3
-    curve = _refine_to(_ELLIPSE_BASE, n_elements)
     section = CrossSection.rectangular(_ELLIPSE_YOUNG, t, _ELLIPSE_WIDTH)
-    loads = LoadSpec(point_loads=[("end", np.array([0.0, -p_load]))])
-    constraints = clamped_end_constraints(curve, "start")
+    p_load = 1e7 * t**3
 
     def angle_map(x):
         return np.arctan2(x[..., 1] / b_ax, -x[..., 0] / a_ax)
 
-    point_checks = []
+    point_checks = ()
     if with_reference_checks:
         ref = ellipse_reference(t)
         point_checks = [PointCheck(key, 1.0, direction, ref[key]) for key, direction
                         in (("ux_free", (1.0, 0.0)), ("uy_free", (0.0, 1.0)))]
-    return BenchmarkProblem(
-        name="ellipse",
-        curve=curve,
-        section=section,
-        loads=loads,
-        constraints=constraints,
-        angle_map=angle_map,
-        slenderness=t,
-        point_checks=point_checks,
-    )
+    return _problem("ellipse", _ELLIPSE_BASE, n_elements, t, section,
+                    LoadSpec(point_loads=[("end", np.array([0.0, -p_load]))]),
+                    (clamped_end_constraints, None), angle_map, point_checks)
 
 
 @functools.lru_cache(maxsize=None)

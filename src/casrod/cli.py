@@ -95,6 +95,8 @@ class RunConfig:
             raise ValueError("start_elements must be >= 1")
         if self.quad_points is not None and self.quad_points not in (2, 3):
             raise ValueError("quad_points must be 2 or 3")
+        if self.samples < 2:  # the text of sample_fields' own check
+            raise ValueError("n_samples must be at least 2")
         if not self.slenderness or not all(0 < s < np.inf for s in self.slenderness):
             raise ValueError("slenderness values must be positive and finite")
 

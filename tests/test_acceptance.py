@@ -259,7 +259,7 @@ class TestCriterion8PropertySuites:
     def test_arch_exact_solution_self_consistency(self, announce):
         worst = 0.0
         for t in (0.1, 0.01, 0.001):
-            _, _, exact_u, exact_n, exact_m, params = _arch_exact(t)
+            _, exact_u, exact_n, exact_m, params = _arch_exact(t)
             radius, ea, ei = params["radius"], params["ea"], params["ei"]
             h, hc = 1e-3, 1e-20
             n_scale = max(abs(exact_n(p)) for p in np.linspace(0, math.pi / 2, 20))

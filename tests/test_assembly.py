@@ -415,6 +415,21 @@ class TestConstraints:
             np.testing.assert_array_equal(con.k, k_ref)
             np.testing.assert_array_equal(con.f, f_ref)
 
+    @pytest.mark.parametrize("constraints, error, match", [
+        ([TieDof(6, 0, 0)], ValueError, "tie constraint out of range"),
+        ([TieDof(0, 6, 1)], ValueError, "tie constraint out of range"),
+        ([FixedDof(6, 0)], ValueError, "fixed dof out of range"),
+        ([TieDof(2, 3, 0), FixedDof(2, 0)], ValueError, "fix the master instead"),
+        ([(0, 0)], TypeError, "unsupported constraint type: tuple"),
+    ], ids=["tie-slave-out-of-range", "tie-master-out-of-range", "fixed-out-of-range",
+            "fixed-tied-slave", "not-a-constraint"])
+    def test_constraint_the_system_cannot_take_rejected(self, constraints, error, match):
+        rod = straight_rod(4)  # 6 controls: dofs 0 ... 11
+        system = assemble(rod, CrossSection(1.0, 1.0), ElementFormulation.NURBS_FULL,
+                          LoadSpec())
+        with pytest.raises(error, match=match):
+            apply_constraints(system, constraints)
+
     def test_tie_constraint_bookkeeping(self):
         rod = straight_rod(2)
         system = assemble(rod, CrossSection(1.0, 1.0), ElementFormulation.NURBS_FULL,
@@ -439,6 +454,19 @@ class TestSolve:
                           loads)
         with pytest.raises(SingularSystemError):
             solve(apply_constraints(system, []))
+
+    @pytest.mark.parametrize("build", [lambda: build_ring_quarter(4, 1e6),
+                                       lambda: build_arch_half(4, 0.01)],
+                             ids=["ring", "arch"])
+    def test_backward_error_above_the_tolerance_is_singular(self, monkeypatch, build):
+        # no well-posed benchmark reaches 1e-10; a zero tolerance trips on roundoff
+        problem = build()
+        system = assemble(problem.curve, problem.section, ElementFormulation.CAS,
+                          problem.loads)
+        constrained = apply_constraints(system, problem.constraints)
+        monkeypatch.setattr(assembly, "_RESIDUAL_TOL", 0.0)
+        with pytest.raises(SingularSystemError, match=r"solver backward error \S+ exceeds 0e\+00"):
+            solve(constrained)
 
     def test_banded_and_dense_paths_agree(self):
         # solver-path check on a well-conditioned system (for the very slender

@@ -121,6 +121,16 @@ class TestConvergeCommand:
                       slenderness=(1.0,))
 
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(start_elements=0), "start_elements must be >= 1"),
+        (dict(samples=1), "n_samples must be at least 2"),
+        (dict(samples=0), "n_samples must be at least 2"),
+    ], ids=["start-elements-0", "samples-1", "samples-0"])
+    def test_config_field_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ring_config(**kwargs)
+
+
 class TestFieldsCommand:
     def test_golden_header_and_row_count(self):
         config = ring_config(elements=8, samples=101)
@@ -149,6 +159,22 @@ class TestFieldsCommand:
     def test_requires_element_count(self):
         with pytest.raises(ValueError, match="element count"):
             run_field_dump(ring_config())
+
+    def test_requires_one_slenderness(self):
+        with pytest.raises(ValueError, match="exactly one slenderness value"):
+            run_field_dump(ring_config(elements=4, slenderness=(1e4, 1e6)))
+
+    def test_one_sample_fails_before_any_mesh_is_solved(self, monkeypatch, capsys):
+        # the sample count is checked with the other options, not after the solve
+        from casrod import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mesh was solved for a rejected sample count")
+
+        monkeypatch.setattr(cli, "solve_problem", refuse)
+        assert main(["fields", "--problem", "ring", "--formulation", "cas",
+                     "--slenderness", "1e4", "--elements", "4", "--samples", "1"]) == 1
+        assert capsys.readouterr().err == "casrod: error: n_samples must be at least 2\n"
 
 
 class TestMainEntry:

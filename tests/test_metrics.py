@@ -307,6 +307,13 @@ class TestSampleFields:
         assert rows[0, 0] == pytest.approx(0.0, abs=1e-6)
         assert rows[1, 0] == pytest.approx(total, rel=1e-6)
 
+    @pytest.mark.parametrize("n_samples", [1, 0])
+    def test_fewer_than_two_samples_rejected(self, n_samples):
+        problem = build_ring_quarter(4, 1e4)
+        sol = solve_problem(problem, ElementFormulation.CAS)
+        with pytest.raises(ValueError, match="n_samples must be at least 2"):
+            sample_fields(problem, sol, n_samples)
+
     def test_ring_exact_columns(self):
         problem = build_ring_quarter(8, 1e6)
         sol = solve_problem(problem, ElementFormulation.CAS)

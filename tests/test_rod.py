@@ -12,7 +12,7 @@ from casrod import (
     make_open_uniform_knot_vector,
 )
 from casrod.errors import DegenerateParametrizationError
-from casrod.rod import ROT90, frames_at
+from casrod.rod import ROT90, ControlDisplacements, frames_at
 
 from conftest import straight_rod
 from oracles import bending_strain, greville_abscissae, membrane_strain
@@ -160,6 +160,12 @@ class TestConstitutive:
     def test_rejects_non_finite(self, ea, ei):
         with pytest.raises(ValueError, match="positive and finite"):
             CrossSection(ea, ei)
+
+    @pytest.mark.parametrize("u", [np.zeros(3), np.zeros((3, 3)), np.zeros((2, 3, 2))],
+                             ids=["flat", "three-columns", "three-dims"])
+    def test_control_displacements_shape_rejected(self, u):
+        with pytest.raises(ValueError, match=r"expected an \(n, 2\) array"):
+            ControlDisplacements(u)
 
     def test_ring_membrane_force_at_symmetry_point(self):
         # exact section force at phi=0 of the pinched ring: N = -P/2

@@ -1,5 +1,6 @@
 """Tests for B-spline/NURBS basis evaluation, knot insertion, and geometry."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -66,11 +67,38 @@ class TestKnotVector:
         with pytest.raises(ValueError, match="non-decreasing"):
             KnotVector(2, [0, 0, 0, 0.6, 0.4, 1, 1, 1])
 
+    @pytest.mark.parametrize("degree, knots, match", [
+        (0, [0, 1], "degree must be >= 1, got 0"),
+        (2, [0, 0, 0, 1, 1], "at least 2(p+1) entries"),
+        (2, [[0, 0, 0], [1, 1, 1]], "at least 2(p+1) entries"),
+        (2, [0, 0, 0, 2, 2, 2], "parametric domain must be [0, 1]"),
+        (2, [-1, -1, -1, 1, 1, 1], "parametric domain must be [0, 1]"),
+    ], ids=["degree-0", "too-few-knots", "not-a-vector", "domain-0-2", "domain-minus-1-1"])
+    def test_rejects_bad_degree_length_or_domain(self, degree, knots, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            KnotVector(degree, knots)
+
     def test_find_span_right_end(self):
         # xi = 1 belongs to the last nonzero span
         kv = make_open_uniform_knot_vector(2, 4)
         first = _basis_block(kv, [1.0, 0.99], 0)[0]
         assert first[0] == first[1] == kv.n_basis - 3
+
+
+class TestNurbsCurveArguments:
+    @pytest.mark.parametrize("points, weights, match", [
+        ([[0, 0], [1, 0]], [1, 1, 1], "expected 3 control points of dimension 2, got (2, 2)"),
+        ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [1, 1, 1],
+         "expected 3 control points of dimension 2, got (3, 3)"),
+        ([[0, 0], [1, 0], [2, 0]], [1, 1], "expected 3 weights, got (2,)"),
+        ([[0, 0], [1, 0], [2, 0]], [[1, 1, 1]], "expected 3 weights, got (1, 3)"),
+        ([[0, 0], [1, 0], [2, 0]], [1, 0, 1], "weights must be positive"),
+        ([[0, 0], [1, 0], [2, 0]], [1, -0.5, 1], "weights must be positive"),
+    ], ids=["two-points", "three-dimensional", "two-weights", "weight-matrix",
+            "zero-weight", "negative-weight"])
+    def test_rejected(self, points, weights, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            NurbsCurve(KnotVector(2, [0, 0, 0, 1, 1, 1]), points, weights)
 
 
 class TestCallerArrays:
