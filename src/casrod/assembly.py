@@ -32,7 +32,7 @@ from .errors import (DegenerateParametrizationError, NonAxisAlignedRotationError
                      SingularSystemError)
 from .formulations import ElementFormulation, PatchOperators
 from .rod import ControlDisplacements, CrossSection
-from .splines import NurbsCurve
+from .splines import NurbsCurve, combine
 
 __all__ = [
     "LoadSpec",
@@ -186,15 +186,14 @@ def assemble(curve: NurbsCurve, section: CrossSection,
 
     if loads.distributed is not None:
         n_el, nq = ops.xi_q.shape
-        points, values = curve.control_points, ops.values
-        x_q = values[:, :, 0, None] * points[:n_el, None]
-        for j in range(1, curve.degree + 1):  # ascending j, as in the basis sum
-            x_q += values[:, :, j, None] * points[j:j + n_el, None]
+        first = np.arange(n_el).repeat(nq)  # element e's first active function is e
+        x_q = combine(curve.control_points, first,
+                      ops.values.reshape(-1, curve.degree + 1).T).T.reshape(n_el, nq, 2)
         load = np.asarray(loads.distributed(x_q), dtype=float)
         if load.shape not in ((2,), x_q.shape):
             raise ValueError(f"distributed load has shape {load.shape}, not (2,) or {x_q.shape}")
         load = np.broadcast_to(load, x_q.shape)
-        weighted = ops.wds[:, :, None] * values
+        weighted = ops.wds[:, :, None] * ops.values
         fe = np.zeros((n_el, curve.degree + 1, 2))
         for q in range(nq):  # ascending q, as in the element integral
             fe += weighted[:, q, :, None] * load[:, q, None, :]

@@ -55,7 +55,7 @@ def displacement_at(solution: RodSolution, xi) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=float)
     bb = nurbs_basis_many(solution.curve, xi.reshape(-1), max_deriv=0)
-    return combine(solution.u, bb.first_active, bb.values).reshape(xi.shape + (2,))
+    return combine(solution.u, bb.first_active, bb.values.T).T.reshape(xi.shape + (2,))
 
 
 def _check_pair(problem: BenchmarkProblem, solution: RodSolution) -> None:
@@ -98,7 +98,7 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
     batch = frames_at(curve, np.concatenate([xis, [c.xi for c in checks]]))
     fb = batch[:m]
     wds = (fb.jac.reshape(curve.n_elements, -1) * halves[:, None] * rule.weights).reshape(-1)
-    phis = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values))
+    phis = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values.T).T)
 
     def relative(approx, exact):  # of a field with one scalar or one 2-vector per point
         num, den = (float(np.sum(wds * (v**2).reshape(m, -1).sum(axis=1)))
@@ -108,12 +108,12 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
     eps, kappa = solution.ops.strains(solution.u, fb)
     e_u = e_n = e_m = None
     if problem.exact_u is not None:
-        e_u = relative(combine(solution.u, fb.first_active, fb.values), problem.exact_u(phis))
+        e_u = relative(combine(solution.u, fb.first_active, fb.values.T).T, problem.exact_u(phis))
     if problem.exact_n is not None:
         e_n = relative(solution.ops.section.ea * eps, problem.exact_n(phis))
     if problem.exact_m is not None:
         e_m = relative(solution.ops.section.ei * kappa, problem.exact_m(phis))
-    u_checks = combine(solution.u, batch.first_active[m:], batch.values[m:])
+    u_checks = combine(solution.u, batch.first_active[m:], batch.values[m:].T).T
     return ErrorReport(e_u=e_u, e_n=e_n, e_m=e_m, point_errors=_point_errors(checks, u_checks))
 
 
@@ -155,12 +155,12 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
     fb = batch[:n_samples]
     eps, kappa = solution.ops.strains(solution.u, fb)
     n_h, m_h = solution.ops.section.ea * eps, solution.ops.section.ei * kappa
-    u_h = combine(solution.u, fb.first_active, fb.values)
-    phi = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values))
+    u_h = combine(solution.u, fb.first_active, fb.values.T)  # the u_x and u_y rows
+    phi = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values.T).T)
     missing = np.full(n_samples, np.nan)
     n_ex = missing if problem.exact_n is None else problem.exact_n(phi)
     m_ex = missing if problem.exact_m is None else problem.exact_m(phi)
-    return np.column_stack([s, phi, u_h, n_h, m_h, n_ex, m_ex])
+    return np.column_stack([s, phi, *u_h, n_h, m_h, n_ex, m_ex])
 
 
 def convergence_rate(points: list[tuple[int, float]]) -> float:

@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass, fields
 import numpy as np
 
 from .errors import DegenerateParametrizationError
-from .splines import NurbsCurve, _basis_block
+from .splines import NurbsCurve, _basis_block, combine
 
 __all__ = ["ROT90", "FrameBatch", "CrossSection", "ControlDisplacements", "frames_at"]
 
@@ -95,12 +95,7 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     first, block = _basis_block(curve.knot_vector, xis, 2, curve.weights)
-    q = curve.control_points.T.take(first + np.arange(curve.degree + 1)[:, None], axis=1)
-    r = np.zeros((2, 2, len(xis)))  # x, y rows of r', r'': summed from 0 in j order at any m
-    for j in range(curve.degree + 1):
-        r += block[1:, j, None] * q[:, j]
-    del q  # before the geometry temporaries
-    (r1, r2), (_, d1, d2) = r, block
+    (r1, r2), (_, d1, d2) = combine(curve.control_points, first, block[1:]), block
     jac = np.hypot(*r1)
     if (jac < _MIN_JACOBIAN).any():
         raise DegenerateParametrizationError(

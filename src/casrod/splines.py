@@ -210,11 +210,15 @@ def nurbs_basis_many(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBatch:
 
 
 def combine(control: np.ndarray, first_active: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_j rows[i, j] control[first_active[i] + j] at every point i: a curve
-    quantity from control points, or a field from control displacements."""
-    idx = first_active + np.arange(rows.shape[1])[:, None]
-    # take gathers the (p+1, m) rows many times faster than control[idx]
-    return np.einsum("jm,jm...->m...", rows.T, control.take(idx, axis=0))
+    """sum_j rows[..., j, i] control[first_active[i] + j] at every point i, from
+    zero in ascending j: a curve quantity from control points, or a field from
+    control displacements. rows take the basis kernel's layout (..., p+1, m), as
+    `block[1:]` or `batch.values.T`; the result has shape (..., c, m)."""
+    q = control.T.take(first_active + np.arange(rows.shape[-2])[:, None], axis=1)
+    out = np.zeros(rows.shape[:-2] + (q.shape[0], q.shape[2]))
+    for j in range(rows.shape[-2]):
+        out += rows[..., j, None, :] * q[:, j]
+    return out
 
 
 def evaluate_geometry(curve: NurbsCurve, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,7 +228,5 @@ def evaluate_geometry(curve: NurbsCurve, xi) -> tuple[np.ndarray, np.ndarray, np
     gives three arrays of shape S + (2,).
     """
     xi = np.asarray(xi, dtype=float)
-    bb = nurbs_basis_many(curve, xi.reshape(-1), max_deriv=2)
-    return tuple(combine(curve.control_points, bb.first_active, rows).reshape(xi.shape + (2,))
-                 for rows in (bb.values, bb.d1, bb.d2))
-
+    first, block = _basis_block(curve.knot_vector, xi, 2, curve.weights)
+    return tuple(r.T.reshape(xi.shape + (2,)) for r in combine(curve.control_points, first, block))

@@ -22,6 +22,11 @@
 - The consistent distributed load with the quadrature-point positions formed
   by one einsum over the element control nets (`einsum_distributed_load`):
   the byte-for-byte oracle for the load vector of `assembly.assemble`.
+- The membrane constraint operator R of a patch, from the private arrays of
+  its `PatchOperators` (`membrane_constraint_matrix`), and the map T from the
+  free dofs of a constrained system to all dofs (`constraint_map`): ker(R T)
+  holds the discrete inextensional displacements, those of zero membrane
+  energy, counted in `tests/test_inextensional_modes.py`.
 - The elliptical arch's free-end displacements from CAS solves on 512 and
   1024 elements with Richardson extrapolation (`fine_mesh_ellipse_free_end`):
   the former `benchmarks.ellipse_reference`, now an oracle for its closed
@@ -40,8 +45,7 @@ from scipy.linalg.lapack import dtbtrs
 from casrod import ElementFormulation, build_ellipse_quarter, solve_problem
 from casrod.errors import DegenerateParametrizationError
 from casrod.rod import _MIN_JACOBIAN, ROT90, FrameBatch
-from casrod.splines import (BasisBatch, KnotVector, NurbsCurve, _find_spans, combine,
-                            nurbs_basis_many)
+from casrod.splines import BasisBatch, KnotVector, NurbsCurve, _find_spans, nurbs_basis_many
 
 _GAUSS10 = np.polynomial.legendre.leggauss(10)
 
@@ -257,11 +261,13 @@ def unstacked_nurbs_basis(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBa
 
 
 def unstacked_frames(curve: NurbsCurve, xis) -> FrameBatch:
-    """Frames from `unstacked_nurbs_basis`, two gathers and (m, 2) geometry."""
+    """Frames from `unstacked_nurbs_basis`, one gather, one einsum per
+    derivative and (m, 2) geometry."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     bb = unstacked_nurbs_basis(curve, xis, max_deriv=2)
-    r1 = combine(curve.control_points, bb.first_active, bb.d1)
-    r2 = combine(curve.control_points, bb.first_active, bb.d2)
+    net = curve.control_points.take(bb.first_active + np.arange(curve.degree + 1)[:, None], axis=0)
+    r1 = np.einsum("jm,jmc->mc", bb.d1.T, net)
+    r2 = np.einsum("jm,jmc->mc", bb.d2.T, net)
     jac = np.hypot(r1[:, 0], r1[:, 1])
     if (jac < _MIN_JACOBIAN).any():
         raise DegenerateParametrizationError(
@@ -318,6 +324,45 @@ def einsum_distributed_load(curve: NurbsCurve, ops, distributed) -> np.ndarray:
     for j in reversed(range(curve.degree + 1)):  # ascending element order per control
         f_ctrl[j:j + n_el] += fe[:, j]
     return f
+
+
+def membrane_constraint_matrix(ops) -> np.ndarray:
+    """R on all 2 n_basis dofs: R u = 0 exactly when the membrane energy of u is zero.
+
+    - Plain NURBS, full and reduced: the compatible strain rows at the
+      quadrature points (`ops.mrows`); the energy weighs the squared strains
+      by positive arc measures.
+    - CAS, local B-bar and local ANS: the two assumed-strain coefficient rows
+      of each element (`ops._pair[0]`); the energy is EA c^T M c with the
+      element's pair mass M positive definite.
+    - Global B-bar: the strain integral matrix G (`ops._projection`, window
+      form gw[B, c, t] = G[B - p + t, 2B + c]); the energy is EA (G u)^T M^-1 G u.
+    """
+    n_dof = 2 * ops.curve.n_basis
+    if ops.formulation is ElementFormulation.GLOBAL_BBAR:
+        gw = ops._projection[2]
+        p, n_el = ops.curve.degree, ops.curve.n_elements
+        g = np.zeros((n_el + 1 + 2 * p, n_dof))  # rows -p ... n_el + p of G
+        b, c, t = np.indices(gw.shape)
+        g[b + t, 2 * b + c] = gw
+        assert not g[:p].any() and not g[p + n_el + 1:].any()
+        return g[p:p + n_el + 1]
+    rows = ops.mrows if ops._pair is None else ops._pair[0]
+    n_el, k, width = rows.shape
+    r = np.zeros((n_el, k, n_dof))
+    for e in range(n_el):  # element e sits on dofs 2e ... 2e + 2p + 1
+        r[e, :, 2 * e:2 * e + width] = rows[e]
+    return r.reshape(-1, n_dof)
+
+
+def constraint_map(constrained) -> np.ndarray:
+    """T: all dofs from the free ones of `apply_constraints`' result; a fixed
+    dof has a zero row, and a tied slave its master's row."""
+    t = np.zeros((constrained.n_full, constrained.n_dof))
+    t[constrained.free_dofs, np.arange(constrained.n_dof)] = 1.0
+    for slave, master in constrained.slave_pairs:
+        t[slave] = t[master]
+    return t
 
 
 @functools.lru_cache(maxsize=None)

@@ -218,7 +218,7 @@ class TestBatchedCallbacks:
         shared = frames_at(problem.curve, np.concatenate([xis, [0.5, 1.0]]))[:len(xis)]
         for got, want in zip(sol.ops.strains(sol.u, shared), sol.ops.strains(sol.u, fb)):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(casrod.splines.combine(sol.u, fb.first_active, fb.values),
+        np.testing.assert_array_equal(casrod.splines.combine(sol.u, fb.first_active, fb.values.T).T,
                                       displacement_at(sol, xis))
 
 

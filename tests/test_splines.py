@@ -12,7 +12,7 @@ from casrod import (ElementFormulation, KnotVector, NurbsCurve, build_arch_half,
 from casrod.errors import OutOfDomainError
 from casrod.metrics import displacement_at
 from casrod.rod import frames_at
-from casrod.splines import _basis_block, nurbs_basis_many
+from casrod.splines import _basis_block, combine, nurbs_basis_many
 
 from conftest import CONIC_W
 from oracles import (arc_length_at, arc_lengths_at, bspline_basis_triangle,
@@ -450,3 +450,29 @@ class TestStackedBlockOracle:
                 frames = frames_at(curve, batch)
                 self._assert_same_bytes(frames, unstacked_frames(curve, batch))
                 assert frames.curve is curve and frames[1:].curve is curve
+
+
+class TestCombine:
+    """`combine` sums rows in the basis kernel's layout, (..., p+1, m): a stack
+    of row sets gives the bytes of one call per set, and each call the bytes
+    of a sum from zero over ascending j, point by point."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_stacked_rows_match_per_row_calls(self, p):
+        rng = np.random.default_rng(500 + p)
+        interior = np.sort(rng.random(6))
+        kv = KnotVector(p, np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]))
+        weights = 0.5 + rng.random(kv.n_basis)
+        xis = np.concatenate([rng.random(200), kv.breakpoints])
+        first, block = _basis_block(kv, xis, 2, weights)
+        for control in (rng.standard_normal((kv.n_basis, 2)), rng.standard_normal((kv.n_basis, 3))):
+            stacked = combine(control, first, block[1:])
+            assert stacked.shape == (2, control.shape[1], len(xis))
+            for d in (1, 2):
+                single = combine(control, first, block[d])
+                assert stacked[d - 1].tobytes() == single.tobytes(), d
+                for i in [0, 7, len(xis) - 1]:
+                    want = [0.0] * control.shape[1]
+                    for j in range(p + 1):
+                        want = [w + block[d, j, i] * x for w, x in zip(want, control[first[i] + j])]
+                    assert single[:, i].tobytes() == np.array(want).tobytes(), (d, i)
