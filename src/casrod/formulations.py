@@ -29,7 +29,7 @@ from numpy.lib.stride_tricks import as_strided
 from ._lapack import daxpy, dpttrf, dpttrs
 from .quadrature import _gauss_points, gauss_rule
 from .rod import CrossSection, FrameBatch, frames_at
-from .splines import NurbsCurve
+from .splines import NurbsCurve, combine
 
 __all__ = ["ElementFormulation", "PatchOperators"]
 
@@ -94,6 +94,10 @@ class PatchOperators:
         if curve.degree < 2:
             raise ValueError("Kirchhoff rod discretizations need C1 continuity "
                              f"(degree >= 2), got degree {curve.degree}")
+        pair_rows = formulation in (ElementFormulation.CAS, ElementFormulation.LOCAL_ANS)
+        if pair_rows and curve.degree != 2:  # their strain points are the quadratic choice
+            raise ValueError(f"{formulation.value} elements are defined for degree 2 only, "
+                             f"got degree {curve.degree}")
         self.curve = curve
         self.section = section
         self.formulation = formulation
@@ -124,8 +128,7 @@ class PatchOperators:
         m = n_el * nq
         fb = frames_at(curve, np.concatenate([xi_q, extra]))
         fq = fb[:m]
-        self.values = np.asfortranarray(fq.values).reshape(n_el, nq, p + 1)  # fb is freed below
-        pair_rows = form in (ElementFormulation.CAS, ElementFormulation.LOCAL_ANS)
+        self.values = np.array(fq.values, order="F").reshape(n_el, nq, p + 1)  # fb is freed below
         self.mrows = None if pair_rows else _membrane_rows(fq).reshape(n_el, nq, 2 * (p + 1))
         self.brows = _bending_rows(fq).reshape(n_el, nq, 2 * (p + 1))
         self.wds = fq.jac.reshape(n_el, nq) * halves[:, None] * self.quad.weights
@@ -310,13 +313,11 @@ class PatchOperators:
         if u_flat.shape != (2 * self.curve.n_basis,):  # keeps the windows inside u
             raise ValueError(f"u has {u_flat.size} dofs, not {2 * self.curve.n_basis}")
         e = frames.first_active
-        s, shape = u_flat.strides[0], (self.curve.n_elements, 2 * self.curve.degree + 2)
-        windows = as_strided(u_flat, shape, (2 * s, s), writeable=False)  # element e's dofs
-        win = windows[e]
-        kappa = np.einsum("mi,mi->m", _bending_rows(frames), win)
+        du, d2u = (combine(u_flat.reshape(-1, 2), e, r.T) for r in (frames.dN_ds, frames.d2N_ds2))
+        kappa = (frames.a2.T * d2u + frames.da2_ds.T * du).sum(axis=0)  # kinematics as in `rod`
         form = self.formulation
         if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
-            return np.einsum("mi,mi->m", _membrane_rows(frames), win), kappa
+            return (frames.a1.T * du).sum(axis=0), kappa
 
         if form is ElementFormulation.GLOBAL_BBAR:
             d, l, gw = self._projection
@@ -330,6 +331,8 @@ class PatchOperators:
             node = 1.0
         else:
             rows, node = self._pair
+            s, shape = u_flat.strides[0], (self.curve.n_elements, 2 * self.curve.degree + 2)
+            windows = as_strided(u_flat, shape, (2 * s, s), writeable=False)  # element e's dofs
             coeff = np.einsum("eli,ei->el", rows, windows)
         a = self._bp[e]
         xhat = 2.0 * (frames.xi - a) / (self._bp[e + 1] - a) - 1.0

@@ -106,15 +106,15 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
         return np.sqrt(num / den)
 
     eps, kappa = solution.ops.strains(solution.u, fb)
+    u_h = combine(solution.u, batch.first_active, batch.values.T).T
     e_u = e_n = e_m = None
     if problem.exact_u is not None:
-        e_u = relative(combine(solution.u, fb.first_active, fb.values.T).T, problem.exact_u(phis))
+        e_u = relative(u_h[:m], problem.exact_u(phis))
     if problem.exact_n is not None:
         e_n = relative(solution.ops.section.ea * eps, problem.exact_n(phis))
     if problem.exact_m is not None:
         e_m = relative(solution.ops.section.ei * kappa, problem.exact_m(phis))
-    u_checks = combine(solution.u, batch.first_active[m:], batch.values[m:].T).T
-    return ErrorReport(e_u=e_u, e_n=e_n, e_m=e_m, point_errors=_point_errors(checks, u_checks))
+    return ErrorReport(e_u=e_u, e_n=e_n, e_m=e_m, point_errors=_point_errors(checks, u_h[m:]))
 
 
 def _nudge_off_knots(xis: np.ndarray, breakpoints: np.ndarray) -> np.ndarray:

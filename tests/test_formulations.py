@@ -7,15 +7,20 @@ from scipy.linalg.lapack import dpttrf
 from casrod import (
     CrossSection,
     ElementFormulation,
+    LoadSpec,
+    NurbsCurve,
     PatchOperators,
+    assemble,
     banded,
     build_arch_half,
     build_ellipse_quarter,
     build_ring_quarter,
     evaluate_geometry,
+    make_open_uniform_knot_vector,
     solve_problem,
 )
-from casrod.formulations import _GAUSS2_NODE, _linear_pair, _weighted_gram
+from casrod.formulations import (_GAUSS2_NODE, _bending_rows, _linear_pair, _membrane_rows,
+                                 _weighted_gram)
 from casrod.rod import frames_at
 
 from conftest import straight_rod, strains_at
@@ -344,6 +349,33 @@ class TestFieldRecovery:
             with pytest.raises(ValueError, match="dofs, not"):
                 ops.strains(np.zeros((n, 2)), frames)
 
+    @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda f: f.value)
+    @pytest.mark.parametrize("build", [
+        lambda n: build_ring_quarter(n, 1e6), lambda n: build_arch_half(n, 0.01),
+        lambda n: build_ellipse_quarter(n, 0.04)], ids=["ring", "arch", "ellipse"])
+    def test_strains_match_strain_displacement_rows(self, build, form):
+        # strains sums u' and u'' first; the rows of the stiffness sum the same
+        # products in another order. Both stay within 7 roundings of the sum
+        # of the absolute products, so they agree to 8 eps times that sum
+        problem = build(16)
+        sol = solve_problem(problem, form)
+        frames = frames_at(problem.curve, np.random.default_rng(3).random(200))
+        e = frames.first_active
+        win = sol.u.reshape(-1)[2 * e[:, None] + np.arange(2 * problem.curve.degree + 2)]
+        uw = np.abs(win).reshape(len(e), -1, 2)  # |u| per active function and component
+
+        def products(basis_rows, frame_rows):  # sum over j, c of |N_j f_c u_jc|
+            return np.einsum("mj,mc,mjc->m", np.abs(basis_rows), np.abs(frame_rows), uw)
+
+        eps, kappa = sol.ops.strains(sol.u, frames)
+        checks = [(kappa, _bending_rows(frames), products(frames.d2N_ds2, frames.a2)
+                   + products(frames.dN_ds, frames.da2_ds))]
+        if form in (ElementFormulation.NURBS_FULL, ElementFormulation.NURBS_REDUCED):
+            checks.append((eps, _membrane_rows(frames), products(frames.dN_ds, frames.a1)))
+        for got, rows, scale in checks:
+            assert np.all(np.abs(got - (rows * win).sum(axis=1))
+                          <= 8 * np.finfo(float).eps * scale)
+
     def test_tip_moment_gives_constant_moment_field(self):
         # beam-theory oracle: u_y = M0 s^2 / (2 EI) is the exact cantilever
         # response to a tip moment M0; it is exactly representable, and the
@@ -444,3 +476,42 @@ class TestFormulationDefaults:
         with pytest.raises(ValueError, match="C1"):
             PatchOperators(curve, UNIT_SECTION, ElementFormulation.CAS)
 
+
+class TestOperatorArrays:
+    @pytest.mark.parametrize("form", ALL_FORMS, ids=lambda f: f.value)
+    def test_values_own_their_memory(self, form):
+        # the basis values are a copy: a view would keep the constructor's
+        # whole (3, p+1, m) frame block alive with every RodSolution
+        ops = PatchOperators(build_arch_half(64, 0.01).curve, UNIT_SECTION, form)
+        owner = ops.values
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        assert owner.nbytes == ops.values.nbytes
+
+
+class TestDegreeThree:
+    """CAS interpolates the strain at the element end knots and local ANS at
+    the 2-point Gauss abscissae: both are quadratic constructions, so a cubic
+    curve is rejected. The other four formulations still build on it."""
+
+    @staticmethod
+    def _cubic_arc():
+        kv = make_open_uniform_knot_vector(3, 4)
+        x = greville_abscissae(kv)
+        return NurbsCurve(kv, np.column_stack([x, 0.3 * np.sin(np.pi * x)]), np.ones(kv.n_basis))
+
+    @pytest.mark.parametrize("form", [ElementFormulation.CAS, ElementFormulation.LOCAL_ANS],
+                             ids=lambda f: f.value)
+    def test_quadratic_only_formulations_rejected(self, form):
+        with pytest.raises(ValueError, match="degree 2 only, got degree 3"):
+            PatchOperators(self._cubic_arc(), UNIT_SECTION, form)
+        with pytest.raises(ValueError, match="degree 2 only, got degree 3"):
+            assemble(self._cubic_arc(), UNIT_SECTION, form, LoadSpec())
+
+    @pytest.mark.parametrize("form", [f for f in ALL_FORMS if f not in (
+        ElementFormulation.CAS, ElementFormulation.LOCAL_ANS)], ids=lambda f: f.value)
+    def test_other_formulations_build(self, form):
+        ops = PatchOperators(self._cubic_arc(), UNIT_SECTION, form)
+        assert ops.blocks.shape == (4, 8, 8)
+        k = banded.to_dense(ops.stiffness_band())
+        assert np.isfinite(k).all() and np.array_equal(k, k.T)

@@ -233,6 +233,42 @@ class TestOneBatch:
         sample_fields(problem, sol, 101)
         assert len(basis_calls) == 1
 
+    @pytest.mark.parametrize("form", list(ElementFormulation), ids=lambda f: f.value)
+    @pytest.mark.parametrize("make", [lambda: build_ring_quarter(8, 1e6),
+                                      lambda: build_arch_half(8, 0.01),
+                                      lambda: build_ellipse_quarter(8, 0.04)],
+                             ids=["ring", "arch", "ellipse"])
+    def test_recovery_builds_no_strain_rows(self, monkeypatch, make, form):
+        # recovery sums u' and u'' through combine: the strain-displacement
+        # rows serve only the stiffness
+        import casrod.formulations
+
+        problem = make()
+        sol = solve_problem(problem, form)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("recovery built strain-displacement rows")
+
+        monkeypatch.setattr(casrod.formulations, "_membrane_rows", refused)
+        monkeypatch.setattr(casrod.formulations, "_bending_rows", refused)
+        sol.ops.strains(sol.u, frames_at(problem.curve, np.linspace(0.0, 1.0, 9)))
+        l2_errors(problem, sol)
+        sample_fields(problem, sol, 33)
+
+    def test_one_displacement_sum_per_l2_call(self, monkeypatch):
+        # u^h at the error points and at the point checks come from one combine
+        import casrod.metrics
+
+        problem = build_arch_half(8, 0.01)
+        sol = solve_problem(problem, ElementFormulation.CAS)
+        controls = []
+        original = casrod.metrics.combine
+        monkeypatch.setattr(casrod.metrics, "combine",
+                            lambda control, *args: controls.append(control) or
+                            original(control, *args))
+        l2_errors(problem, sol)
+        assert sum(control is sol.u for control in controls) == 1
+
     def test_warm_calls_build_no_gauss_rule(self, monkeypatch):
         problem = build_arch_half(8, 0.01)
         sol = solve_problem(problem, ElementFormulation.CAS)
