@@ -32,7 +32,7 @@ from .errors import (DegenerateParametrizationError, NonAxisAlignedRotationError
                      SingularSystemError)
 from .formulations import ElementFormulation, PatchOperators
 from .rod import ControlDisplacements, CrossSection
-from .splines import NurbsCurve, combine
+from .splines import NurbsCurve
 
 __all__ = [
     "LoadSpec",
@@ -63,10 +63,10 @@ class LoadSpec:
     point_loads: list of ("start" | "end", force of shape (2,), else a ValueError).
     distributed: callable x -> force density per arc length at the curve
         points x; None when absent. `assemble` calls it once, with the
-        quadrature-point positions, shape (n_el, n_q, 2) (the points of
-        `PatchOperators.xi_q`). It returns one 2-vector per point, that
-        shape, or one 2-vector, shape (2,), for a constant load; any other
-        shape, such as one scalar per point, is a ValueError.
+        read-only quadrature-point positions `PatchOperators.x_q`, shape
+        (n_el, n_q, 2). It returns one 2-vector per point, that shape, or
+        one 2-vector, shape (2,), for a constant load; any other shape,
+        such as one scalar per point, is a ValueError.
     """
 
     point_loads: list[tuple[str, np.ndarray]] = field(default_factory=list)
@@ -163,8 +163,8 @@ def assemble(curve: NurbsCurve, section: CrossSection,
     """Assemble the global stiffness band and consistent load vector.
 
     The stiffness comes from `PatchOperators.stiffness_band`. The distributed
-    load is called once, on the quadrature-point positions (see `LoadSpec`),
-    which come from the basis values of `ops`: assembly evaluates no geometry.
+    load is called once, on the quadrature-point positions `ops.x_q` (see
+    `LoadSpec`): assembly evaluates no geometry.
     A given `ops` must be built from this curve object, this section and
     formulation, and `quad_points` (if given); otherwise it is a ValueError.
     """
@@ -185,10 +185,8 @@ def assemble(curve: NurbsCurve, section: CrossSection,
         f[2 * b:2 * b + 2] += force
 
     if loads.distributed is not None:
-        n_el, nq = ops.xi_q.shape
-        first = np.arange(n_el).repeat(nq)  # element e's first active function is e
-        x_q = combine(curve.control_points, first,
-                      ops.values.reshape(-1, curve.degree + 1).T).T.reshape(n_el, nq, 2)
+        x_q = ops.x_q
+        n_el, nq, _ = x_q.shape
         load = np.asarray(loads.distributed(x_q), dtype=float)
         if load.shape not in ((2,), x_q.shape):
             raise ValueError(f"distributed load has shape {load.shape}, not (2,) or {x_q.shape}")
@@ -427,7 +425,7 @@ def solve(constrained: ConstrainedSystem) -> ControlDisplacements:
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbsv")
 
-    backward = _band_backward_error(ab, u_red, f)
+    backward = _backward_error(banded.matvec(ab, u_red) - f, banded.norm1(ab), u_red, f)
     if backward > _RESIDUAL_TOL:
         raise SingularSystemError(
             f"solver backward error {backward:.3e} exceeds {_RESIDUAL_TOL:.0e}")
@@ -436,11 +434,6 @@ def solve(constrained: ConstrainedSystem) -> ControlDisplacements:
     for slave, master in constrained.slave_pairs:
         u_full[slave] = u_full[master]
     return ControlDisplacements(u_full.reshape(-1, 2))
-
-
-def _band_backward_error(ab: np.ndarray, u: np.ndarray, f: np.ndarray) -> float:
-    """`solution_backward_error` for a stiffness held as the upper band ab."""
-    return _backward_error(banded.matvec(ab, u) - f, banded.norm1(ab), u, f)
 
 
 def _backward_error(residual: np.ndarray, k_norm1: float, u: np.ndarray,

@@ -36,6 +36,4 @@ def matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def norm1(ab: np.ndarray) -> float:
     """1-norm (largest absolute column sum) of the symmetric matrix."""
-    if ab.shape[1] == 0:
-        return 0.0
     return float(matvec(np.abs(ab), np.ones(ab.shape[1])).max())

@@ -129,6 +129,7 @@ class PatchOperators:
         fb = frames_at(curve, np.concatenate([xi_q, extra]))
         fq = fb[:m]
         self.values = np.array(fq.values, order="F").reshape(n_el, nq, p + 1)  # fb is freed below
+        self.x_q = np.array(fq.x, order="F").reshape(n_el, nq, 2)  # the load's positions
         self.mrows = None if pair_rows else _membrane_rows(fq).reshape(n_el, nq, 2 * (p + 1))
         self.brows = _bending_rows(fq).reshape(n_el, nq, 2 * (p + 1))
         self.wds = fq.jac.reshape(n_el, nq) * halves[:, None] * self.quad.weights
@@ -158,7 +159,7 @@ class PatchOperators:
         # the symmetric part, formed in kb's buffer, drops contraction-order roundoff
         self.blocks = np.multiply(np.add(k, np.swapaxes(k, 1, 2), out=kb), 0.5, out=kb)
         # read-only: the stiffness, the load and the global B-bar projection read them
-        for a in (self.blocks, self.wds, self.mrows, self.brows, self.values, self.xi_q):
+        for a in (self.blocks, self.wds, self.mrows, self.brows, self.values, self.xi_q, self.x_q):
             if a is not None:
                 a.setflags(write=False)
 

@@ -19,7 +19,7 @@ from .benchmarks import BenchmarkProblem
 from .errors import InsufficientDataError
 from .rod import frames_at
 from .quadrature import _gauss_points, _legendre
-from .splines import combine, nurbs_basis_many
+from .splines import _find_spans, combine, nurbs_basis_many
 
 __all__ = [
     "ErrorReport",
@@ -98,7 +98,7 @@ def l2_errors(problem: BenchmarkProblem, solution: RodSolution,
     batch = frames_at(curve, np.concatenate([xis, [c.xi for c in checks]]))
     fb = batch[:m]
     wds = (fb.jac.reshape(curve.n_elements, -1) * halves[:, None] * rule.weights).reshape(-1)
-    phis = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values.T).T)
+    phis = problem.angle_map(fb.x)
 
     def relative(approx, exact):  # of a field with one scalar or one 2-vector per point
         num, den = (float(np.sum(wds * (v**2).reshape(m, -1).sum(axis=1)))
@@ -145,7 +145,7 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
     bp = np.asarray(curve.knot_vector.breakpoints, dtype=float)
     xis = _nudge_off_knots(np.linspace(0.0, 1.0, n_samples), bp)
     rule = _legendre(_ARC_RULE_POINTS)
-    e = np.clip(np.searchsorted(bp, xis, side="right") - 1, 0, curve.n_elements - 1)
+    e = _find_spans(curve.knot_vector, xis) - curve.degree  # the element of each sample
     partial, partial_halves = _gauss_points(bp[e], xis, rule.points)
     whole, whole_halves = _gauss_points(bp[:-1], bp[1:], rule.points)
     batch = frames_at(curve, np.concatenate([xis, partial, whole]))
@@ -156,7 +156,7 @@ def sample_fields(problem: BenchmarkProblem, solution: RodSolution,
     eps, kappa = solution.ops.strains(solution.u, fb)
     n_h, m_h = solution.ops.section.ea * eps, solution.ops.section.ei * kappa
     u_h = combine(solution.u, fb.first_active, fb.values.T)  # the u_x and u_y rows
-    phi = problem.angle_map(combine(curve.control_points, fb.first_active, fb.values.T).T)
+    phi = problem.angle_map(fb.x)
     missing = np.full(n_samples, np.nan)
     n_ex = missing if problem.exact_n is None else problem.exact_n(phi)
     m_ex = missing if problem.exact_m is None else problem.exact_m(phi)

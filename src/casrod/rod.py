@@ -63,6 +63,7 @@ class FrameBatch:
 
     xi: np.ndarray             # (m,) parametric coordinates of the points
     first_active: np.ndarray   # (m,) int, also the element of each point
+    x: np.ndarray              # (m, 2) positions r
     a1: np.ndarray             # (m, 2)
     a2: np.ndarray             # (m, 2)
     da2_ds: np.ndarray         # (m, 2)
@@ -85,8 +86,8 @@ class FrameBatch:
 
 
 def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
-    """Evaluate the local frames, basis values and arc-length basis
-    derivatives at each xi.
+    """Evaluate the positions, local frames, basis values and arc-length
+    basis derivatives at each xi.
 
     The chain rule from the parametric coordinate to arc length gives
     dN/ds = N' / jac and d2N/ds2 = N'' / jac^2 - N' (r' . r'') / jac^4,
@@ -95,7 +96,7 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     first, block = _basis_block(curve.knot_vector, xis, 2, curve.weights)
-    (r1, r2), (_, d1, d2) = combine(curve.control_points, first, block[1:]), block
+    (x, r1, r2), (_, d1, d2) = combine(curve.control_points, first, block), block
     jac = np.hypot(*r1)
     if (jac < _MIN_JACOBIAN).any():
         raise DegenerateParametrizationError(
@@ -110,5 +111,5 @@ def frames_at(curve: NurbsCurve, xis) -> FrameBatch:
     d2 -= d1 * (rdot / jac**4)
     d1 /= jac
     values, dn_ds, d2n_ds2 = np.swapaxes(block, 1, 2)
-    return FrameBatch(xis, first, a1.T, (ROT90 @ a1).T, (ROT90 @ da1_ds).T, jac,
+    return FrameBatch(xis, first, x.T, a1.T, (ROT90 @ a1).T, (ROT90 @ da1_ds).T, jac,
                       dn_ds, d2n_ds2, values, curve=curve)

@@ -10,6 +10,7 @@ place on it; a `BasisBatch` holds transposed views of it: treat them as read-onl
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class KnotVector:
         t = np.array(self.knots, dtype=float)  # own copy: the caller's stays writable
         object.__setattr__(self, "knots", t)
         p = self.degree
+        if not isinstance(p, numbers.Integral):  # numpy integers included
+            raise ValueError(f"degree must be an integer, got {p!r}")
         if p < 1:
             raise ValueError(f"degree must be >= 1, got {p}")
         if t.ndim != 1 or len(t) < 2 * (p + 1):
@@ -112,10 +115,10 @@ class NurbsCurve:
 
 def make_open_uniform_knot_vector(degree: int, n_elements: int) -> KnotVector:
     """Open knot vector with n_elements equal nonzero spans on [0, 1]."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be >= 1, got {n_elements}")
+    if not isinstance(degree, numbers.Integral) or degree < 1:
+        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
+    if not isinstance(n_elements, numbers.Integral) or n_elements < 1:
+        raise ValueError(f"n_elements must be an integer >= 1, got {n_elements!r}")
     interior = np.linspace(0.0, 1.0, n_elements + 1)
     knots = np.concatenate([np.zeros(degree), interior, np.ones(degree)])
     return KnotVector(degree, knots)
@@ -213,7 +216,7 @@ def combine(control: np.ndarray, first_active: np.ndarray, rows: np.ndarray) -> 
     """sum_j rows[..., j, i] control[first_active[i] + j] at every point i, from
     zero in ascending j: a curve quantity from control points, or a field from
     control displacements. rows take the basis kernel's layout (..., p+1, m), as
-    `block[1:]` or `batch.values.T`; the result has shape (..., c, m)."""
+    `block` or `batch.values.T`; the result has shape (..., c, m)."""
     q = control.T.take(first_active + np.arange(rows.shape[-2])[:, None], axis=1)
     out = np.zeros(rows.shape[:-2] + (q.shape[0], q.shape[2]))
     for j in range(rows.shape[-2]):

@@ -261,11 +261,12 @@ def unstacked_nurbs_basis(curve: NurbsCurve, xis, max_deriv: int = 2) -> BasisBa
 
 
 def unstacked_frames(curve: NurbsCurve, xis) -> FrameBatch:
-    """Frames from `unstacked_nurbs_basis`, one gather, one einsum per
-    derivative and (m, 2) geometry."""
+    """Frames from `unstacked_nurbs_basis`, one gather, one einsum for the
+    positions and per derivative, and (m, 2) geometry."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     bb = unstacked_nurbs_basis(curve, xis, max_deriv=2)
     net = curve.control_points.take(bb.first_active + np.arange(curve.degree + 1)[:, None], axis=0)
+    x = np.einsum("jm,jmc->mc", bb.values.T, net)
     r1 = np.einsum("jm,jmc->mc", bb.d1.T, net)
     r2 = np.einsum("jm,jmc->mc", bb.d2.T, net)
     jac = np.hypot(r1[:, 0], r1[:, 1])
@@ -284,7 +285,7 @@ def unstacked_frames(curve: NurbsCurve, xis) -> FrameBatch:
     dn_ds = bb.d1 / jac_col
     d2n_ds2 = bb.d2 / jac_sq
     d2n_ds2 -= bb.d1 * (rdot / jac**4)[:, None]
-    return FrameBatch(xis, bb.first_active, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values,
+    return FrameBatch(xis, bb.first_active, x, a1, a2, da2_ds, jac, dn_ds, d2n_ds2, bb.values,
                       curve=curve)
 
 

@@ -1,5 +1,6 @@
 """Tests for quadrature, assembly, loads, constraints, and the solver."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from casrod import (
 from casrod import assembly, banded, evaluate_geometry
 from casrod.assembly import (
     ConstrainedSystem,
-    _band_backward_error,
+    _backward_error,
     _end_controls,
     solution_backward_error,
 )
@@ -468,6 +469,19 @@ class TestSolve:
         with pytest.raises(SingularSystemError, match=r"solver backward error \S+ exceeds 0e\+00"):
             solve(constrained)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", list(ElementFormulation), ids=lambda f: f.value)
+    @pytest.mark.parametrize("build", [lambda: build_ring_quarter(4, 1e6),
+                                       lambda: build_arch_half(4, 0.01)],
+                             ids=["ring", "arch"])
+    def test_zero_load_solves_to_zero(self, build, form):
+        # u = 0 and f = 0 make the backward error's scale zero: no division,
+        # no warning, and u comes back exactly zero
+        problem = dataclasses.replace(build(), loads=LoadSpec())
+        solution = solve_problem(problem, form)
+        assert solution.n_dof > 0
+        assert not solution.u.any()
+
     def test_banded_and_dense_paths_agree(self):
         # solver-path check on a well-conditioned system (for the very slender
         # sections the factorization difference is bounded by cond(K)*eps
@@ -707,7 +721,8 @@ class TestBandStorage:
             rng = np.random.default_rng(1)
             for u in (u_red, u_red * (1.0 + 1e-6 * rng.standard_normal(len(u_red)))):
                 dense = solution_backward_error(con.k, u, con.f)
-                band = _band_backward_error(con.ab, u, con.f)
+                band = _backward_error(banded.matvec(con.ab, u) - con.f,  # as `solve` does
+                                       banded.norm1(con.ab), u, con.f)
                 assert band == pytest.approx(dense, rel=1e-9,
                                              abs=len(u) * np.finfo(float).eps)
             k_norm = np.linalg.norm(con.k, 1)

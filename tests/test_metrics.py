@@ -269,6 +269,28 @@ class TestOneBatch:
         l2_errors(problem, sol)
         assert sum(control is sol.u for control in controls) == 1
 
+    @pytest.mark.parametrize("make", [lambda: build_ring_quarter(8, 1e6),
+                                      lambda: build_arch_half(8, 0.01),
+                                      lambda: build_ellipse_quarter(8, 0.04)],
+                             ids=["ring", "arch", "ellipse"])
+    def test_recovery_sums_no_control_net(self, monkeypatch, make):
+        # angle_map takes the frame batch's own positions, FrameBatch.x, and
+        # the load takes ops.x_q: only u is summed after the solve
+        import casrod.assembly
+        import casrod.metrics
+
+        problem = make()
+        sol = solve_problem(problem, ElementFormulation.CAS)
+        controls = []
+        original = casrod.metrics.combine
+        monkeypatch.setattr(casrod.metrics, "combine",
+                            lambda control, *args: controls.append(control) or
+                            original(control, *args))
+        l2_errors(problem, sol)
+        sample_fields(problem, sol, 33)
+        assert controls and all(control is sol.u for control in controls)
+        assert not hasattr(casrod.assembly, "combine")
+
     def test_warm_calls_build_no_gauss_rule(self, monkeypatch):
         problem = build_arch_half(8, 0.01)
         sol = solve_problem(problem, ElementFormulation.CAS)

@@ -5,10 +5,16 @@ import pytest
 
 from casrod import (
     CrossSection,
+    ElementFormulation,
+    KnotVector,
+    LoadSpec,
     NurbsCurve,
+    PatchOperators,
+    assemble,
     build_arch_half,
     build_ellipse_quarter,
     build_ring_quarter,
+    evaluate_geometry,
     make_open_uniform_knot_vector,
 )
 from casrod.errors import DegenerateParametrizationError
@@ -81,6 +87,48 @@ class TestFrame:
         curve = NurbsCurve(kv, [[0, 0], [0, 0], [1, 0]], [1, 1, 1])
         with pytest.raises(DegenerateParametrizationError):
             frames_at(curve, [0.0])
+
+
+def _position_curves():
+    """The three benchmark curves, then random NURBS curves of degree 1-4."""
+    yield from (build_ring_quarter(7, 1e6).curve, build_arch_half(16, 0.01).curve,
+                build_ellipse_quarter(5, 0.004).curve)
+    rng = np.random.default_rng(31)
+    for p in (1, 2, 3, 4):
+        interior = np.sort(rng.random(9))
+        kv = KnotVector(p, np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]))
+        yield NurbsCurve(kv, rng.standard_normal((kv.n_basis, 2)), 0.5 + rng.random(kv.n_basis))
+
+
+class TestPositions:
+    """A frame batch carries the positions r of its points, and the operators
+    keep those of their quadrature points: neither the load nor recovery sums
+    the control net again."""
+
+    @pytest.mark.parametrize("curve", list(_position_curves()),
+                             ids=["ring", "arch", "ellipse", "p1", "p2", "p3", "p4"])
+    def test_positions_match_evaluate_geometry(self, curve):
+        rng = np.random.default_rng(32)
+        xis = np.concatenate([rng.random(200), curve.knot_vector.breakpoints])
+        x = frames_at(curve, xis).x
+        assert x.shape == (len(xis), 2)
+        assert x.tobytes() == evaluate_geometry(curve, xis)[0].tobytes()
+        assert frames_at(curve, xis[5:6])[0].x.tobytes() == x[5].tobytes()
+
+    @pytest.mark.parametrize("form", list(ElementFormulation), ids=lambda f: f.value)
+    def test_operators_keep_read_only_quadrature_positions(self, form):
+        problem = build_arch_half(8, 0.01)
+        ops = PatchOperators(problem.curve, problem.section, form)
+        n_el, nq = ops.xi_q.shape
+        assert ops.x_q.shape == (n_el, nq, 2)
+        want = frames_at(problem.curve, ops.xi_q.reshape(-1)).x.reshape(n_el, nq, 2)
+        assert ops.x_q.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            ops.x_q[0, 0, 0] = 0.0
+        seen = []
+        assemble(problem.curve, problem.section, form,
+                 LoadSpec(distributed=lambda x: seen.append(x) or np.zeros(2)), ops=ops)
+        assert len(seen) == 1 and seen[0] is ops.x_q
 
 
 class TestStrains:

@@ -55,6 +55,26 @@ class TestKnotVector:
         with pytest.raises(ValueError, match="n_elements"):
             make_open_uniform_knot_vector(2, 0)
 
+    @pytest.mark.parametrize("degree, n_elements, match", [
+        (2.5, 4, "degree must be an integer >= 1, got 2.5"),
+        (2.0, 4, "degree must be an integer >= 1, got 2.0"),
+        (2, 2.5, "n_elements must be an integer >= 1, got 2.5"),
+        (2, 4.0, "n_elements must be an integer >= 1, got 4.0"),
+    ], ids=["degree-2.5", "degree-2.0", "elements-2.5", "elements-4.0"])
+    def test_non_integer_arguments_rejected(self, degree, n_elements, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            make_open_uniform_knot_vector(degree, n_elements)
+
+    @pytest.mark.parametrize("degree", [2.0, 2.5, "2"], ids=["2.0", "2.5", "str"])
+    def test_non_integer_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree must be an integer, got"):
+            KnotVector(degree, [0, 0, 0, 1, 1, 1])
+
+    def test_numpy_integers_accepted(self):
+        kv = make_open_uniform_knot_vector(np.int32(2), np.int64(3))
+        assert np.array_equal(kv.knots, make_open_uniform_knot_vector(2, 3).knots)
+        assert KnotVector(np.int64(2), kv.knots).n_elements == 3
+
     def test_rejects_non_open(self):
         with pytest.raises(ValueError, match="open"):
             KnotVector(2, [0, 0, 0.2, 0.5, 1, 1, 1])
